@@ -52,14 +52,6 @@ from .problem import (
     sample_f,
     validate,
 )
-from .smallmat import (
-    SingularMatrixError,
-    inverse,
-    is_inverse_nonnegative,
-    lu_factor,
-    lu_solve,
-    lu_solve_factored,
-)
 from .solver import (
     GRID_KINDS,
     RHS_GIVEN,
@@ -74,7 +66,7 @@ from .solver import (
     decompose,
     march,
     solve,
-    step_matrix,
+    step_matrices,
 )
 
 __version__ = "0.1.0"

@@ -4,10 +4,12 @@ Subcommands: validate a problem file, emit a mesh, solve (optionally with
 the smooth/layer split and certificates), and run convergence studies for
 one parameter choice (converge) or across a parameter grid (sweep).
 
-Exit codes: 0 ok, 2 unreadable or malformed input, 3 problem validation
-failure, 4 mesh construction failure, 5 requested convergence band not met.
-All numbers are written with 17 significant digits, so output is
-byte-identical across runs and floats round-trip exactly.
+Exit codes: 0 ok, 1 solve certificate failure, 2 unreadable or malformed
+input, 3 problem validation failure, 4 mesh construction failure,
+5 requested convergence band not met, 6 numerical failure (a step failed
+the residual guard or the grid went non-finite). All numbers are written
+with 17 significant digits, so output is byte-identical across runs and
+floats round-trip exactly.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import io
 import json
 import os
 import sys
+
+import numpy as np
 
 from .analysis import (
     MODE_EXACT,
@@ -40,6 +44,7 @@ from .problem import (
 from .solver import (
     RHS_GIVEN,
     STEP_RESIDUAL_RTOL,
+    SolveFailureError,
     certify_max_principle,
     certify_stability,
     decompose,
@@ -47,10 +52,12 @@ from .solver import (
 )
 
 EXIT_OK = 0
+EXIT_CERTIFICATE = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_MESH = 4
 EXIT_BAND = 5
+EXIT_NUMERICAL = 6
 
 
 def _fmt(x):
@@ -63,8 +70,19 @@ def _csv_line(fields):
     return buf.getvalue()
 
 
+def _table_lines(table):
+    """CSV rows of a numeric table: the first column as an integer, the
+    others with 17 significant digits like _fmt. One row format is applied
+    to 1024 rows at a time, which bounds the Python floats alive at once;
+    each returned string holds one such block."""
+    rows, cols = table.shape
+    row = ",".join(["%d"] + ["%.17g"] * (cols - 1))
+    blocks = (table[start:start + 1024] for start in range(0, rows, 1024))
+    return ["\n".join([row] * len(b)) % tuple(b.ravel().tolist()) for b in blocks]
+
+
 def _emit(lines, out_path):
-    text = "\n".join(lines) + "\n"
+    text = "\n".join([*lines, ""])
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
     else:
@@ -129,10 +147,11 @@ def _cmd_mesh(args):
         "# sigmas = " + ",".join(_fmt(s) for s in mesh.sigmas),
         "# b = " + ",".join(str(bit) for bit in mesh.b),
         "j,t_j,delta_j",
-        _csv_line(["0", _fmt(mesh.points[0]), ""]),
+        "0,%s," % _fmt(mesh.points[0]),
     ]
-    for j in range(1, mesh.N + 1):
-        lines.append(_csv_line([j, _fmt(mesh.points[j]), _fmt(mesh.deltas[j - 1])]))
+    lines += _table_lines(np.column_stack(
+        [np.arange(1, mesh.N + 1), mesh.points[1:], mesh.deltas]
+    ))
     _emit(lines, args.out)
     return EXIT_OK
 
@@ -156,23 +175,18 @@ def _cmd_solve(args):
             "# stability_ok = %s" % ("true" if stability.ok else "false"),
         ]
     header = ["j", "t_j"] + ["U_%d" % (i + 1) for i in range(n)]
-    parts = None
+    columns = [np.arange(mesh.N + 1), mesh.points, grid.values.T]
     if args.decompose:
         parts = decompose(vp, mesh)
         header += ["V_%d" % (i + 1) for i in range(n)]
         header += ["W_%d" % (i + 1) for i in range(n)]
+        columns += [parts.smooth.values.T, parts.singular.values.T]
     lines.append(_csv_line(header))
-    for j in range(mesh.N + 1):
-        fields = [j, _fmt(mesh.points[j])]
-        fields += [_fmt(grid.values[i, j]) for i in range(n)]
-        if parts is not None:
-            fields += [_fmt(parts.smooth.values[i, j]) for i in range(n)]
-            fields += [_fmt(parts.singular.values[i, j]) for i in range(n)]
-        lines.append(_csv_line(fields))
+    lines += _table_lines(np.column_stack(columns))
     _emit(lines, args.out)
     if not certificates_ok:
         print("error: a solve certificate failed; see the header comments", file=sys.stderr)
-        return 1
+        return EXIT_CERTIFICATE
     return EXIT_OK
 
 
@@ -298,7 +312,8 @@ def _build_parser():
     p.add_argument("--certify", action="store_true",
                    help="add nonnegativity and stability certificates to the header")
     p.add_argument("--residual-rtol", type=float, default=STEP_RESIDUAL_RTOL,
-                   help="per-step residual guard (default %(default)s)")
+                   help="residual tolerance checked on every step "
+                        "(default %(default)s)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_solve)
 
@@ -348,6 +363,9 @@ def main(argv=None):
     except (MeshError, MeshNestingError) as exc:
         print(f"mesh error: {exc}", file=sys.stderr)
         return EXIT_MESH
+    except SolveFailureError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ProblemFormatError, OracleUnavailableError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -93,6 +93,12 @@ def suite():
     ]
 
 
+def inverse_nonnegative(m, tol=1e-12):
+    """True iff every entry of the inverse of m, or of every matrix in a
+    stack m, is >= -tol: the monotonicity behind every step solve."""
+    return bool((np.linalg.inv(m) >= -float(tol)).all())
+
+
 def random_eps(rng, n, lo_power=20.0):
     """Strictly increasing parameters in (0, 1], log-uniform scales."""
     while True:

@@ -196,9 +196,8 @@ def test_criterion_10_oracle_cross_validation():
                  cases.decoupled_identity()):
         vp = validate(spec)
         coarse_mesh = build_mesh(vp, 2 ** 18)
-        coarse = march(vp, coarse_mesh, vp.spec.u0, reuse_factorizations=True)
-        fine = march(vp, bisect_mesh(coarse_mesh), vp.spec.u0,
-                     reuse_factorizations=True)
+        coarse = march(vp, coarse_mesh, vp.spec.u0)
+        fine = march(vp, bisect_mesh(coarse_mesh), vp.spec.u0)
         extrapolated = 2.0 * fine.values[:, ::2] - coarse.values
         reference = SolutionGrid(mesh=coarse_mesh, values=extrapolated, kind="full")
         worst = max(worst, exact_error(reference, vp))

@@ -3,20 +3,35 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cases
-from layerode import build_mesh, problem_to_dict, solve, validate
+from layerode import (
+    build_mesh,
+    decompose,
+    load_problem,
+    problem_to_dict,
+    solve,
+    validate,
+)
 from layerode.cli import (
     EXIT_BAND,
+    EXIT_CERTIFICATE,
     EXIT_MESH,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VALIDATION,
+    _csv_line,
+    _fmt,
     main,
 )
+
+PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
+PROBLEMS = sorted(PROBLEMS_DIR.glob("*.json"))
 
 
 def _write_problem(tmp_path, spec, name="problem.json"):
@@ -208,3 +223,80 @@ def test_sweep_band_gate(tmp_path, capsys):
     ]
     assert main(args) == EXIT_BAND
     capsys.readouterr()
+
+
+def _table_tail(text, header):
+    # Lines after the column header; comment and header lines are left out.
+    lines = text.split("\n")
+    return lines[lines.index(header) + 1:]
+
+
+@pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: p.stem)
+def test_table_output_matches_per_row_formatter(problem, capsys):
+    # Reference: one csv.writer row per mesh point, as the output layer
+    # was written before it formatted whole tables at once.
+    vp = validate(load_problem(str(problem)))
+    n, N = vp.spec.n, 256
+    mesh = build_mesh(vp, N)
+
+    assert main(["mesh", "--problem", str(problem), "--N", str(N)]) == EXIT_OK
+    expected = [_csv_line(["0", _fmt(mesh.points[0]), ""])]
+    expected += [_csv_line([j, _fmt(mesh.points[j]), _fmt(mesh.deltas[j - 1])])
+                 for j in range(1, N + 1)]
+    assert _table_tail(capsys.readouterr().out, "j,t_j,delta_j") == expected + [""]
+
+    args = ["solve", "--problem", str(problem), "--N", str(N), "--decompose", "--certify"]
+    assert main(args) == EXIT_OK
+    grid = solve(vp, N)
+    parts = decompose(vp, mesh)
+    expected = []
+    for j in range(N + 1):
+        fields = [j, _fmt(mesh.points[j])]
+        for values in (grid.values, parts.smooth.values, parts.singular.values):
+            fields += [_fmt(values[i, j]) for i in range(n)]
+        expected.append(_csv_line(fields))
+    header = ",".join(["j", "t_j"] + ["%s_%d" % (part, i + 1)
+                                      for part in "UVW" for i in range(n)])
+    assert _table_tail(capsys.readouterr().out, header) == expected + [""]
+
+
+def _fail_certificate(monkeypatch):
+    monkeypatch.setattr("layerode.cli.certify_max_principle", lambda vp, grid: False)
+
+
+def _bad_sign(text):
+    data = json.loads(text)
+    data["A"] = [[[3.0], [1.0]], [[-1.0], [3.0]]]
+    return json.dumps(data)
+
+
+# (exit code, edit of the problem file text or None to use
+#  problems/constant_two_scale.json as is, arguments after --problem FILE,
+#  fault injected into the CLI)
+EXIT_CASES = [
+    (EXIT_OK, None, ["validate"], None),
+    (EXIT_CERTIFICATE, None, ["solve", "--N", "16", "--certify"], _fail_certificate),
+    (EXIT_PARSE, lambda text: "{", ["validate"], None),
+    (EXIT_VALIDATION, _bad_sign, ["validate"], None),
+    (EXIT_MESH, None, ["mesh", "--N", "6"], None),
+    (EXIT_BAND, None, ["converge", "--N", "16,32", "--mode", "exact", "--min-p", "2.0"], None),
+    (EXIT_NUMERICAL, None, ["solve", "--N", "64", "--residual-rtol", "0"], None),
+]
+
+
+def test_every_exit_code(tmp_path, capsys, monkeypatch):
+    source = PROBLEMS_DIR / "constant_two_scale.json"
+    for code, edit, args, fault in EXIT_CASES:
+        path = source
+        if edit is not None:
+            path = tmp_path / "edited.json"
+            path.write_text(edit(source.read_text(encoding="utf-8")), encoding="utf-8")
+        with monkeypatch.context() as patch:
+            if fault is not None:
+                fault(patch)
+            argv = [args[0], "--problem", str(path)] + args[1:]
+            assert main(argv) == code, (code, args)
+        err = capsys.readouterr().err
+        assert (err == "") == (code == EXIT_OK), (code, err)
+    assert sorted(case[0] for case in EXIT_CASES) == list(range(7))
+    assert "step 1 solve residual" in err

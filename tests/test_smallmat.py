@@ -1,65 +1,27 @@
-"""Dense small-matrix kernels: factor/solve, inverse, sign certification."""
+"""Dense M-matrix inverses: the monotone structure every step solve uses."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layerode import (
-    SingularMatrixError,
-    inverse,
-    is_inverse_nonnegative,
-    lu_factor,
-    lu_solve,
-    lu_solve_factored,
-)
+from cases import inverse_nonnegative
 
 RESIDUAL_RTOL = 1e-12
 RANDOM_DRAWS = 1000
 
 
-def test_solve_symmetric_pair_exact():
-    m = np.array([[2.0, -1.0], [-1.0, 2.0]])
-    x = lu_solve(m, np.array([1.0, 1.0]))
-    assert x.tolist() == [1.0, 1.0]
-
-
-def test_solve_requires_row_exchange():
-    m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    x = lu_solve(m, np.array([3.0, 7.0]))
-    assert x.tolist() == [7.0, 3.0]
-
-
 def test_inverse_hand_values():
     m = np.array([[2.0, -1.0], [-1.0, 2.0]])
     expected = np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0
-    assert np.allclose(inverse(m), expected, rtol=0.0, atol=1e-15)
-
-
-def test_factor_then_solve_matches_direct():
-    m = np.array([[4.0, -1.0, 0.0], [-1.0, 4.0, -1.0], [0.0, -1.0, 4.0]])
-    lu, perm = lu_factor(m)
-    b = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(lu_solve_factored(lu, perm, b), lu_solve(m, b))
-
-
-def test_singular_matrix_raises_with_pivot_index():
-    with pytest.raises(SingularMatrixError) as err:
-        lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
-    assert err.value.pivot_index == 1
-
-
-def test_zero_matrix_is_singular():
-    with pytest.raises(SingularMatrixError):
-        lu_factor(np.zeros((2, 2)))
+    assert np.allclose(np.linalg.inv(m), expected, rtol=0.0, atol=1e-15)
 
 
 def test_inverse_nonnegative_accepts_m_matrix():
-    assert is_inverse_nonnegative(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    assert inverse_nonnegative(np.array([[2.0, -1.0], [-1.0, 2.0]]))
 
 
 def test_inverse_nonnegative_rejects_positive_offdiag():
-    assert not is_inverse_nonnegative(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    assert not inverse_nonnegative(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def _dominant_m_matrix(rng, n):
@@ -71,15 +33,16 @@ def _dominant_m_matrix(rng, n):
 
 
 def test_random_dominant_solves_have_small_residuals():
+    # Solves through the explicit inverse, as the march does.
     rng = np.random.default_rng(20250819)
     for _ in range(RANDOM_DRAWS):
         n = int(rng.integers(1, 9))
         m = _dominant_m_matrix(rng, n)
         b = rng.uniform(-5.0, 5.0, size=n)
-        x = lu_solve(m, b)
+        x = np.linalg.inv(m) @ b
         residual = np.abs(m @ x - b).max()
         assert residual <= RESIDUAL_RTOL * (1.0 + np.abs(b).max())
-        assert is_inverse_nonnegative(m)
+        assert inverse_nonnegative(m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -90,6 +53,6 @@ def test_random_dominant_solves_have_small_residuals():
 def test_dominant_m_matrix_inverse_identity(n, seed):
     rng = np.random.default_rng(seed)
     m = _dominant_m_matrix(rng, n)
-    inv = inverse(m)
+    inv = np.linalg.inv(m)
     assert np.allclose(m @ inv, np.eye(n), rtol=0.0, atol=1e-10)
     assert inv.min() >= -1e-12

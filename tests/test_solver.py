@@ -5,6 +5,7 @@ import pytest
 
 import cases
 from layerode import (
+    RHS_GIVEN,
     RHS_ZERO,
     ShishkinMesh,
     SolutionGrid,
@@ -14,12 +15,10 @@ from layerode import (
     certify_max_principle,
     certify_stability,
     decompose,
-    is_inverse_nonnegative,
-    lu_solve,
     march,
     sample_f,
     solve,
-    step_matrix,
+    step_matrices,
     validate,
 )
 
@@ -59,30 +58,49 @@ def _uniform_mesh(N, T, sigmas, bits):
 def test_step_matrix_values():
     vp = _validated(cases.layer_two_scale(eps=(0.0625, 0.25)))
     mesh = _uniform_mesh(8, 1.0, (0.25, 0.5), (0, 0))
-    m = step_matrix(vp, mesh, 1)
-    assert np.array_equal(m, np.array([[2.5, -1.0], [-1.0, 4.0]]))
-
-
-def test_step_matrix_index_bounds():
-    vp = _validated(cases.layer_two_scale())
-    mesh = build_mesh(vp, 8)
-    with pytest.raises(ValueError):
-        step_matrix(vp, mesh, 0)
-    with pytest.raises(ValueError):
-        step_matrix(vp, mesh, 9)
+    m = step_matrices(vp, mesh)
+    assert m.shape == (8, 2, 2)
+    assert np.array_equal(m[0], np.array([[2.5, -1.0], [-1.0, 4.0]]))
 
 
 def test_random_step_matrices_are_m_matrices():
     rng = np.random.default_rng(7121)
     for _ in range(100):
         vp = _validated(cases.random_nonneg_problem(rng))
-        mesh = build_mesh(vp, 64)
-        j = int(rng.integers(1, mesh.N + 1))
-        m = step_matrix(vp, mesh, j)
-        off = m - np.diag(np.diag(m))
+        m = step_matrices(vp, build_mesh(vp, 64))
+        diag = np.diagonal(m, axis1=1, axis2=2)
+        off = m - diag[:, :, None] * np.eye(vp.spec.n)
         assert (off <= 0.0).all()
-        assert (np.diag(m) > np.abs(off).sum(axis=1)).all()
-        assert is_inverse_nonnegative(m)
+        assert (diag > np.abs(off).sum(axis=2)).all()
+        assert cases.inverse_nonnegative(m)
+
+
+def _per_step_march(vp, mesh, u_init, forced):
+    # Reference: one dense solve per step, in mesh order.
+    spec = vp.spec
+    eps = spec.eps.as_array()
+    u = np.array(u_init, dtype=float)
+    columns = [u]
+    for j in range(1, mesh.N + 1):
+        t = float(mesh.points[j])
+        ed = eps / mesh.deltas[j - 1]
+        b = ed * u + (spec.eval_f(t) if forced else 0.0)
+        u = np.linalg.solve(spec.eval_A(t) + np.diag(ed), b)
+        columns.append(u)
+    return np.array(columns).T
+
+
+@pytest.mark.parametrize("name,spec", cases.suite())
+@pytest.mark.parametrize("N", SUITE_N)
+@pytest.mark.parametrize("rhs_mode", [RHS_GIVEN, RHS_ZERO])
+def test_march_matches_per_step_solves(name, spec, N, rhs_mode):
+    vp = _validated(spec)
+    mesh = build_mesh(vp, N)
+    u_init = np.asarray(spec.u0) + 1.0
+    grid = march(vp, mesh, u_init, rhs_mode)
+    reference = _per_step_march(vp, mesh, u_init, rhs_mode == RHS_GIVEN)
+    scale = max(1.0, np.abs(reference).max())
+    assert np.abs(grid.values - reference).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("name,spec", cases.suite())
@@ -99,7 +117,7 @@ def test_superposition_of_parts(name, spec, N):
 def test_decomposition_initial_split():
     vp = _validated(cases.constant_two_scale())
     parts = decompose(vp, build_mesh(vp, 16))
-    v0 = lu_solve(vp.spec.eval_A(0.0), vp.spec.eval_f(0.0))
+    v0 = np.linalg.solve(vp.spec.eval_A(0.0), vp.spec.eval_f(0.0))
     assert np.array_equal(parts.smooth.values[:, 0], v0)
     assert np.array_equal(parts.singular.values[:, 0], np.array(vp.spec.u0) - v0)
 
@@ -180,14 +198,6 @@ def test_certificate_vacuous_for_negative_forcing():
     assert certify_max_principle(vp, grid)
 
 
-def test_factorization_reuse_is_bit_identical():
-    vp = _validated(cases.layer_two_scale())
-    mesh = build_mesh(vp, 64)
-    plain = march(vp, mesh, vp.spec.u0)
-    cached = march(vp, mesh, vp.spec.u0, reuse_factorizations=True)
-    assert np.array_equal(plain.values, cached.values)
-
-
 def test_march_rejects_foreign_mesh():
     vp = _validated(cases.constant_two_scale())
     other = build_mesh(_validated(cases.variable_three_scale()), 16)
@@ -218,6 +228,11 @@ def test_zero_residual_tolerance_trips_the_guard():
     vp = _validated(cases.constant_two_scale())
     mesh = build_mesh(vp, 16)
     with pytest.raises(SolveFailureError):
+        march(vp, mesh, vp.spec.u0, residual_rtol=0.0)
+    # Step 1 already has a rounding-level residual here; the guard checks
+    # every step and names the first that fails.
+    mesh = build_mesh(vp, 64)
+    with pytest.raises(SolveFailureError, match=r"^step 1 solve residual"):
         march(vp, mesh, vp.spec.u0, residual_rtol=0.0)
 
 
