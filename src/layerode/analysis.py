@@ -10,17 +10,12 @@ so a flat fitted constant across N is the empirical signature of that rate.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .mesh import bisect_mesh, build_mesh
-from .problem import (
-    DEFAULT_SAMPLE_COUNT,
-    PerturbationVector,
-    validate,
-)
+from .problem import PerturbationVector, validate
 from .solver import RHS_GIVEN, march
 
 __all__ = [
@@ -273,14 +268,7 @@ def default_eps_grid(n):
     return grid
 
 
-def _sweep_task(task):
-    template, eps, n_values, mode, sample_count = task
-    vp = validate(template.with_eps(eps), sample_count)
-    return convergence_study(vp, n_values, mode)
-
-
-def uniform_sweep(template, eps_grid, n_values, mode,
-                  sample_count=DEFAULT_SAMPLE_COUNT, jobs=1):
+def uniform_sweep(template, eps_grid, n_values, mode):
     """Convergence studies across a parameter grid plus worst-case rows.
 
     Parameters
@@ -294,12 +282,10 @@ def uniform_sweep(template, eps_grid, n_values, mode,
         Doubling mesh sizes, shared by every study.
     mode : str
         'exact_oracle' or 'two_mesh'.
-    sample_count : int
-        Validation sampling density per parameter choice.
-    jobs : int
-        Studies are independent per parameter choice; jobs > 1 distributes
-        them over processes. Results are reduced in sorted parameter order
-        either way, so output is identical regardless of scheduling.
+
+    Each grid entry is validated and run through convergence_study in this
+    process, in sorted order, so a sweep is exactly the studies `converge`
+    would report one parameter choice at a time.
 
     Returns
     -------
@@ -311,12 +297,10 @@ def uniform_sweep(template, eps_grid, n_values, mode,
     if not grid:
         raise ValueError("empty eps grid")
     n_values = [int(v) for v in n_values]
-    tasks = [(template, eps, n_values, mode, sample_count) for eps in grid]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=int(jobs)) as pool:
-            reports = tuple(pool.map(_sweep_task, tasks))
-    else:
-        reports = tuple(_sweep_task(task) for task in tasks)
+    reports = tuple(
+        convergence_study(validate(template.with_eps(eps)), n_values, mode)
+        for eps in grid
+    )
     worst = [
         max(report.rows[i].error for report in reports)
         for i in range(len(n_values))

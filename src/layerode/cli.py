@@ -35,7 +35,6 @@ from .analysis import (
 )
 from .mesh import MeshError, build_mesh
 from .problem import (
-    DEFAULT_SAMPLE_COUNT,
     ProblemFormatError,
     ProblemValidationError,
     load_problem,
@@ -120,8 +119,7 @@ def _mode_value(text):
 
 
 def _load_validated(args):
-    spec = load_problem(args.problem)
-    return validate(spec, args.samples)
+    return validate(load_problem(args.problem))
 
 
 def _cmd_validate(args):
@@ -133,7 +131,6 @@ def _cmd_validate(args):
             "n": spec.n,
             "T": spec.T,
             "eps": list(spec.eps),
-            "sample_count": vp.sample_count,
         }))
     else:
         print("alpha = %s" % _fmt(vp.alpha))
@@ -252,8 +249,7 @@ def _cmd_converge(args):
 def _cmd_sweep(args):
     spec = load_problem(args.problem)
     grid = default_eps_grid(spec.n) if args.eps_grid == "default" else args.eps_grid
-    sweep = uniform_sweep(spec, grid, args.N, args.mode,
-                          sample_count=args.samples, jobs=args.jobs)
+    sweep = uniform_sweep(spec, grid, args.N, args.mode)
     if args.json:
         payload = {
             "mode": sweep.mode,
@@ -282,8 +278,6 @@ def _cmd_sweep(args):
 def _add_problem_options(sub):
     sub.add_argument("--problem", required=True, type=_existing_file,
                      help="problem file (JSON)")
-    sub.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_COUNT,
-                     help="validation sample count (default %(default)s)")
 
 
 def _build_parser():
@@ -337,8 +331,8 @@ def _build_parser():
                    help="error measure (default %(default)s)")
     p.add_argument("--eps-grid", type=_eps_grid_arg, default="default",
                    help="'default' or groups like '0.015625,0.25;0.0625,1'")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for independent studies (default 1)")
+    # Accepted and ignored: sweeps run in one process.
+    p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--min-p-uniform", type=float, default=None,
                    help="exit 5 if the smallest robust order is below this")

@@ -1,9 +1,11 @@
 """Problem data for stiff linear systems E u' + A(t) u = f(t) on [0, T].
 
 Matrix and forcing entries are polynomials in t, which keeps the file format
-trivial and admissibility checks cheap. Validation establishes the sign and
+trivial and makes admissibility exact: each extremum on [0, T] sits at an
+endpoint or at a root of the derivative. Validation establishes the sign and
 dominance structure of A(t) that the stepping operator's monotonicity relies
-on, and extracts the decay rate alpha used to place mesh transition points.
+on, and extracts the decay rate alpha, the infimum of the row sums, used to
+place mesh transition points.
 """
 
 from __future__ import annotations
@@ -11,13 +13,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 __all__ = [
     "MAX_POLY_DEGREE",
-    "DEFAULT_SAMPLE_COUNT",
     "ProblemFormatError",
     "ProblemValidationError",
     "TimePolynomial",
@@ -33,7 +35,6 @@ __all__ = [
 ]
 
 MAX_POLY_DEGREE = 16
-DEFAULT_SAMPLE_COUNT = 1024
 
 
 class ProblemFormatError(ValueError):
@@ -47,12 +48,11 @@ class ProblemValidationError(ValueError):
     ----------
     condition : str
         Machine-readable tag: 'off-diagonal-sign', 'row-dominance',
-        'alpha-positive', 'horizon', 'eps-range', 'eps-ordering' or
-        'eps-coincident'.
+        'horizon', 'eps-range', 'eps-ordering' or 'eps-coincident'.
     row, col : int or None
         1-based indices of the offending entry, when applicable.
     t : float or None
-        Sample time of the violation, when applicable.
+        Time of the violation, when applicable.
     """
 
     def __init__(self, condition, message, row=None, col=None, t=None):
@@ -245,7 +245,6 @@ class ValidatedProblem:
 
     spec: ProblemSpec
     alpha: float
-    sample_count: int
 
 
 def _check_times(spec, ts):
@@ -276,21 +275,35 @@ def sample_f(spec, ts):
     return out
 
 
-def validate(spec, sample_count=DEFAULT_SAMPLE_COUNT):
-    """Admissibility check by dense sampling over [0, T].
+def _critical_times(coeffs, T):
+    """Real parts of the roots of a polynomial's derivative, clipped to
+    [0, T]. With both endpoints they include every point where the
+    polynomial attains its extrema on [0, T]; extra points are harmless."""
+    if len(coeffs) < 3:
+        return np.empty(0)
+    return np.clip(npoly.polyroots(npoly.polyder(coeffs)).real, 0.0, T)
 
-    Verifies nonpositive off-diagonal entries and strict row dominance of
-    A(t) on a uniform sample grid including both endpoints, extracts alpha
-    as the sampled minimum row sum, and checks that the horizon covers the
-    slowest layer (T >= 2 max(eps) / alpha). Sampling rather than symbolic
-    positivity is deliberate; violations hiding between samples are the
-    caller's responsibility, and alpha is the sampled minimum rather than an
-    infimum over the whole interval.
+
+def validate(spec):
+    """Admissibility check from the exact extrema of A(t) over [0, T].
+
+    Verifies that every off-diagonal entry is nonpositive and every row sum
+    positive on the whole interval, takes alpha as the infimum of the row
+    sums, and checks that the horizon covers the slowest layer
+    (T >= 2 max(eps) / alpha). Entries are polynomials, so A(t) is
+    evaluated at both endpoints and at every critical point of each
+    off-diagonal entry and each row sum; those times hold every extremum
+    the checks need. Under the sign condition a row sum equals
+    a_ii - sum_{j != i} |a_ij|, so a positive row sum is strict row
+    dominance. A violation reports the earliest of those times at which it
+    shows.
     """
-    sample_count = int(sample_count)
-    if sample_count < 2:
-        raise ValueError("sample_count must be at least 2")
-    ts = np.linspace(0.0, spec.T, sample_count)
+    off_entries = [p.coeffs for i, row in enumerate(spec.A)
+                   for j, p in enumerate(row) if i != j]
+    row_sums = [reduce(npoly.polyadd, (p.coeffs for p in row)) for row in spec.A]
+    ts = np.unique(np.concatenate(
+        [[0.0, spec.T]] + [_critical_times(c, spec.T) for c in off_entries + row_sums]
+    ))
     a = sample_A(spec, ts)
     idx = np.arange(spec.n)
     off = a.copy()
@@ -306,25 +319,19 @@ def validate(spec, sample_count=DEFAULT_SAMPLE_COUNT):
             col=j + 1,
             t=float(ts[s]),
         )
-    diag = a[:, idx, idx]
-    offsum = np.abs(off).sum(axis=2)
-    bad = np.argwhere(diag <= offsum)
+    sums = a.sum(axis=2)
+    bad = np.argwhere(sums <= 0.0)
     if bad.size:
         s, i = (int(v) for v in bad[0])
         raise ProblemValidationError(
             "row-dominance",
             "row %d of the coefficient matrix is not strictly diagonally dominant "
-            "at t=%.6g (diagonal %.6g vs off-diagonal sum %.6g)"
-            % (i + 1, ts[s], diag[s, i], offsum[s, i]),
+            "at t=%.6g (row sum, a_ii - sum_j |a_ij|, is %.6g)"
+            % (i + 1, ts[s], sums[s, i]),
             row=i + 1,
             t=float(ts[s]),
         )
-    alpha = float(a.sum(axis=2).min())
-    if alpha <= 0.0:
-        raise ProblemValidationError(
-            "alpha-positive",
-            "sampled minimum row sum of the coefficient matrix is %.6g, expected > 0" % alpha,
-        )
+    alpha = float(sums.min())
     needed = 2.0 * spec.eps[-1] / alpha
     if spec.T < needed:
         raise ProblemValidationError(
@@ -332,7 +339,7 @@ def validate(spec, sample_count=DEFAULT_SAMPLE_COUNT):
             "horizon T=%.6g is shorter than 2*max(eps)/alpha=%.6g; the slowest layer does not fit"
             % (spec.T, needed),
         )
-    return ValidatedProblem(spec=spec, alpha=alpha, sample_count=sample_count)
+    return ValidatedProblem(spec=spec, alpha=alpha)
 
 
 _PROBLEM_KEYS = ("n", "T", "eps", "u0", "A", "f")

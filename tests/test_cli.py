@@ -3,12 +3,15 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cases
+import layerode
 from layerode import (
     build_mesh,
     decompose,
@@ -213,6 +216,18 @@ def test_sweep_jobs_do_not_change_output(tmp_path, capsys):
     sequential = capsys.readouterr().out
     assert main(args + ["--jobs", "2"]) == EXIT_OK
     assert capsys.readouterr().out == sequential
+
+
+def test_cli_import_loads_no_process_machinery():
+    src = str(Path(layerode.__file__).resolve().parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, %r); import layerode.cli; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+        % src
+    )
+    done = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_sweep_band_gate(tmp_path, capsys):

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 import cases
 from layerode import (
@@ -107,6 +108,54 @@ def test_dominance_checked_away_from_endpoints():
         validate(spec)
     assert err.value.condition == "row-dominance"
     assert err.value.t > 0.9
+
+
+def _scalar(a_coeffs):
+    return ProblemSpec(
+        n=1, A=((cases.poly(*a_coeffs),),), f=(cases.poly(0.0),), u0=(0.0,),
+        T=1.0, eps=(1e-3,),
+    )
+
+
+def test_row_sum_dipping_below_zero_between_samples_rejected():
+    # 1e4 (t - c)^2 - 1e-6 with c = 512.5/1023, midway between two points of
+    # a 1024-point uniform sample grid on [0, 1]
+    c = 512.5 / 1023.0
+    spec = _scalar(npoly.polyadd(1e4 * npoly.polypow((-c, 1.0), 2), (-1e-6,)))
+    with pytest.raises(ProblemValidationError) as err:
+        validate(spec)
+    assert err.value.condition == "row-dominance"
+    assert err.value.row == 1
+    assert abs(err.value.t - c) <= 1e-6
+
+
+def test_alpha_is_interior_infimum():
+    # 0.5 + (t - 0.3)^2 attains its minimum 0.5 at t = 0.3, which is not a
+    # point of a 1024-point uniform sample grid on [0, 1]
+    spec = _scalar(npoly.polyadd(npoly.polypow((-0.3, 1.0), 2), (0.5,)))
+    assert abs(validate(spec).alpha - 0.5) <= 1e-15
+
+
+def test_offdiagonal_positive_between_samples_rejected():
+    # entry (2,1) is -1e4 (t - c)^2 + 1e-6: positive only within 1e-5 of c
+    c = 512.5 / 1023.0
+    bump = npoly.polyadd(-1e4 * npoly.polypow((-c, 1.0), 2), (1e-6,))
+    spec = ProblemSpec(
+        n=2,
+        A=(
+            (cases.poly(1e4), cases.poly(-1.0)),
+            (cases.poly(*bump), cases.poly(1e4)),
+        ),
+        f=(cases.poly(0.0), cases.poly(0.0)),
+        u0=(0.0, 0.0),
+        T=1.0,
+        eps=(0.25, 0.5),
+    )
+    with pytest.raises(ProblemValidationError) as err:
+        validate(spec)
+    assert err.value.condition == "off-diagonal-sign"
+    assert (err.value.row, err.value.col) == (2, 1)
+    assert abs(err.value.t - c) <= 1e-6
 
 
 def test_short_horizon_rejected():

@@ -236,6 +236,31 @@ def test_zero_residual_tolerance_trips_the_guard():
         march(vp, mesh, vp.spec.u0, residual_rtol=0.0)
 
 
+@pytest.mark.parametrize("name, spec", [
+    ("constant_two_scale", cases.constant_two_scale()),
+    ("variable_three_scale", cases.variable_three_scale()),
+])
+def test_residual_guard_tolerance_scale(name, spec):
+    # worst max_j |M_j U_j - b_j| / (1 + |b_j|) of a marched grid, recomputed
+    # step by step; the guard must trip a decade below it and pass a decade
+    # above it, which pins the scale of the tolerance
+    vp = _validated(spec)
+    mesh = build_mesh(vp, 64)
+    values = march(vp, mesh, vp.spec.u0).values.T
+    m = step_matrices(vp, mesh)
+    f = sample_f(vp.spec, mesh.points[1:])
+    eps = vp.spec.eps.as_array()
+    ratio = 0.0
+    for j in range(mesh.N):
+        b = eps / mesh.deltas[j] * values[j] + f[j]
+        residual = np.abs(m[j] @ values[j + 1] - b).max()
+        ratio = max(ratio, residual / (1.0 + np.abs(b).max()))
+    assert ratio > 0.0
+    with pytest.raises(SolveFailureError):
+        march(vp, mesh, vp.spec.u0, residual_rtol=ratio / 10.0)
+    march(vp, mesh, vp.spec.u0, residual_rtol=ratio * 10.0)
+
+
 def test_grid_kind_is_validated():
     vp = _validated(cases.decay_scalar())
     grid = solve(vp, 4)
