@@ -43,7 +43,6 @@ from .problem import (
     ProblemFormatError,
     ProblemSpec,
     ProblemValidationError,
-    TimePolynomial,
     ValidatedProblem,
     load_problem,
     problem_from_dict,
@@ -53,9 +52,6 @@ from .problem import (
     validate,
 )
 from .solver import (
-    GRID_KINDS,
-    RHS_GIVEN,
-    RHS_ZERO,
     DecomposedSolution,
     SolutionGrid,
     SolveFailureError,

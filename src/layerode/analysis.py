@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import bisect_mesh, build_mesh
-from .problem import PerturbationVector, validate
-from .solver import RHS_GIVEN, march
+from .problem import PerturbationVector, sample_A, sample_f, validate
+from .solver import march
 
 __all__ = [
     "MODE_EXACT",
@@ -54,13 +54,9 @@ class MeshNestingError(ValueError):
     """Two-grid differencing needs a mesh and its exact bisection."""
 
 
-def _as_eps(eps):
-    return eps if isinstance(eps, PerturbationVector) else PerturbationVector(tuple(eps))
-
-
 def layer_functions(eps, alpha, t):
     """Decay envelopes exp(-alpha t / eps_i), one per scale, at time t >= 0."""
-    eps = _as_eps(eps)
+    eps = PerturbationVector(tuple(eps))
     t = float(t)
     if t < 0.0:
         raise ValueError("t must be nonnegative")
@@ -111,7 +107,7 @@ def exact_constant_solution(a, f_const, u0, eps, t):
     exponential evaluated by scaling and squaring. Raises
     numpy.linalg.LinAlgError if A is singular.
     """
-    eps = _as_eps(eps)
+    eps = PerturbationVector(tuple(eps))
     a = np.asarray(a, dtype=float)
     f_const = np.asarray(f_const, dtype=float)
     u0 = np.asarray(u0, dtype=float)
@@ -138,8 +134,8 @@ def exact_error(grid, vp):
             "coefficients vary in time, no closed-form reference; use two_mesh mode"
         )
     exact = _exact_solution_at(
-        spec.eval_A(0.0),
-        spec.eval_f(0.0),
+        sample_A(spec, 0.0)[0],
+        sample_f(spec, 0.0)[0],
         np.asarray(spec.u0, dtype=float),
         spec.eps.as_array(),
         np.asarray(grid.mesh.points),
@@ -227,11 +223,11 @@ def convergence_study(vp, n_values, mode):
     errors = []
     for nn in n_values:
         mesh = build_mesh(vp, nn)
-        grid = march(vp, mesh, vp.spec.u0, RHS_GIVEN, kind="full")
+        grid = march(vp, mesh, vp.spec.u0)
         if mode == MODE_EXACT:
             errors.append(exact_error(grid, vp))
         else:
-            fine = march(vp, bisect_mesh(mesh), vp.spec.u0, RHS_GIVEN, kind="full")
+            fine = march(vp, bisect_mesh(mesh), vp.spec.u0)
             errors.append(two_mesh_difference(grid, fine))
     return ConvergenceReport(
         mode=mode,

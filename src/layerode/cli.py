@@ -7,9 +7,10 @@ one parameter choice (converge) or across a parameter grid (sweep).
 Exit codes: 0 ok, 1 solve certificate failure, 2 unreadable or malformed
 input, 3 problem validation failure, 4 mesh construction failure,
 5 requested convergence band not met, 6 numerical failure (a step failed
-the residual guard or the grid went non-finite). All numbers are written
-with 17 significant digits, so output is byte-identical across runs and
-floats round-trip exactly.
+the residual guard, the grid went non-finite, or numpy's linear algebra
+reported a singular matrix). All numbers are written with 17 significant
+digits, so output is byte-identical across runs and floats round-trip
+exactly.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .problem import (
     validate,
 )
 from .solver import (
-    RHS_GIVEN,
     STEP_RESIDUAL_RTOL,
     SolveFailureError,
     certify_max_principle,
@@ -156,8 +156,7 @@ def _cmd_mesh(args):
 def _cmd_solve(args):
     vp = _load_validated(args)
     mesh = build_mesh(vp, args.N)
-    grid = march(vp, mesh, vp.spec.u0, RHS_GIVEN, kind="full",
-                 residual_rtol=args.residual_rtol)
+    grid = march(vp, mesh, vp.spec.u0, residual_rtol=args.residual_rtol)
     n = vp.spec.n
     lines = ["# alpha = %s" % _fmt(vp.alpha)]
     certificates_ok = True
@@ -187,21 +186,10 @@ def _cmd_solve(args):
     return EXIT_OK
 
 
-def _report_lines(lines, report):
-    for row in report.rows:
-        lines.append(_csv_line([
-            report.eps_label,
-            row.N,
-            _fmt(row.error),
-            "" if row.p is None else _fmt(row.p),
-            _fmt(row.c_fit),
-        ]))
-
-
-def _uniform_lines(lines, rows):
+def _study_lines(lines, label, rows):
     for row in rows:
         lines.append(_csv_line([
-            "uniform",
+            label,
             row.N,
             _fmt(row.error),
             "" if row.p is None else _fmt(row.p),
@@ -220,9 +208,22 @@ def _report_dict(report):
     }
 
 
-def _min_present_p(rows):
+def _band_gate(rows, band, what):
+    """EXIT_BAND, with a message on stderr, if the smallest order present in
+    rows is below band or no order is present; EXIT_OK otherwise or when no
+    band was requested."""
+    if band is None:
+        return EXIT_OK
     ps = [row.p for row in rows if row.p is not None]
-    return min(ps) if ps else None
+    worst = min(ps) if ps else None
+    if worst is None or worst < band:
+        print(
+            "error: %s order %s is below the requested band %s"
+            % (what, "absent" if worst is None else _fmt(worst), _fmt(band)),
+            file=sys.stderr,
+        )
+        return EXIT_BAND
+    return EXIT_OK
 
 
 def _cmd_converge(args):
@@ -232,18 +233,9 @@ def _cmd_converge(args):
         _emit([json.dumps({"mode": report.mode, **_report_dict(report)}, indent=2)], args.out)
     else:
         lines = ["# mode = %s" % report.mode, "eps_label,N,D,p,C_fit"]
-        _report_lines(lines, report)
+        _study_lines(lines, report.eps_label, report.rows)
         _emit(lines, args.out)
-    if args.min_p is not None:
-        worst = _min_present_p(report.rows)
-        if worst is None or worst < args.min_p:
-            print(
-                "error: observed order %s is below the requested band %s"
-                % ("absent" if worst is None else _fmt(worst), _fmt(args.min_p)),
-                file=sys.stderr,
-            )
-            return EXIT_BAND
-    return EXIT_OK
+    return _band_gate(report.rows, args.min_p, "observed")
 
 
 def _cmd_sweep(args):
@@ -260,19 +252,10 @@ def _cmd_sweep(args):
     else:
         lines = ["# mode = %s" % sweep.mode, "eps_label,N,D,p,C_fit"]
         for report in sweep.reports:
-            _report_lines(lines, report)
-        _uniform_lines(lines, sweep.uniform_rows)
+            _study_lines(lines, report.eps_label, report.rows)
+        _study_lines(lines, "uniform", sweep.uniform_rows)
         _emit(lines, args.out)
-    if args.min_p_uniform is not None:
-        worst = _min_present_p(sweep.uniform_rows)
-        if worst is None or worst < args.min_p_uniform:
-            print(
-                "error: robust order %s is below the requested band %s"
-                % ("absent" if worst is None else _fmt(worst), _fmt(args.min_p_uniform)),
-                file=sys.stderr,
-            )
-            return EXIT_BAND
-    return EXIT_OK
+    return _band_gate(sweep.uniform_rows, args.min_p_uniform, "robust")
 
 
 def _add_problem_options(sub):
@@ -357,7 +340,7 @@ def main(argv=None):
     except (MeshError, MeshNestingError) as exc:
         print(f"mesh error: {exc}", file=sys.stderr)
         return EXIT_MESH
-    except SolveFailureError as exc:
+    except (SolveFailureError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ProblemFormatError, OracleUnavailableError, OSError, ValueError) as exc:

@@ -61,10 +61,6 @@ class ShishkinMesh:
         return float(self.points[-1])
 
 
-def _as_eps(eps):
-    return eps if isinstance(eps, PerturbationVector) else PerturbationVector(tuple(eps))
-
-
 def _require_valid_N(N, n):
     N = int(N)
     block = 2 ** n
@@ -83,7 +79,7 @@ def transition_points(eps, alpha, T, N):
     sigma_i = min(sigma_{i+1}/2, (eps_i/alpha) ln N). Bit b_i = 0 records the
     halving branch (ties count as halving), b_i = 1 the layer-width branch.
     """
-    eps = _as_eps(eps)
+    eps = PerturbationVector(tuple(eps))
     alpha = float(alpha)
     T = float(T)
     if alpha <= 0.0 or not math.isfinite(alpha):
@@ -119,7 +115,7 @@ def interval_counts(N, n):
 
 def piecewise_uniform_mesh(eps, alpha, T, N):
     """Assemble the mesh: n+1 uniform pieces joined at the transition points."""
-    eps = _as_eps(eps)
+    eps = PerturbationVector(tuple(eps))
     T = float(T)
     alpha = float(alpha)
     sigmas, bits = transition_points(eps, alpha, T, N)
@@ -205,7 +201,7 @@ def interaction_points(eps, alpha):
     times increase in both indices; that ordering is checked here because
     analysis code relies on it.
     """
-    eps = _as_eps(eps)
+    eps = PerturbationVector(tuple(eps))
     alpha = float(alpha)
     if alpha <= 0.0 or not math.isfinite(alpha):
         raise MeshError(f"alpha must be positive and finite, got {alpha!r}")

@@ -1,11 +1,12 @@
 """Problem data for stiff linear systems E u' + A(t) u = f(t) on [0, T].
 
-Matrix and forcing entries are polynomials in t, which keeps the file format
-trivial and makes admissibility exact: each extremum on [0, T] sits at an
-endpoint or at a root of the derivative. Validation establishes the sign and
-dominance structure of A(t) that the stepping operator's monotonicity relies
-on, and extracts the decay rate alpha, the infimum of the row sums, used to
-place mesh transition points.
+Matrix and forcing entries are polynomials in t, held as tuples of ascending
+coefficients and evaluated only by sample_A and sample_f. That keeps the file
+format trivial and makes admissibility exact: each extremum on [0, T] sits
+at an endpoint or at a root of the derivative. Validation establishes the
+sign and dominance structure of A(t) that the stepping operator's
+monotonicity relies on, and extracts the decay rate alpha, the infimum of the
+row sums, used to place mesh transition points.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "MAX_POLY_DEGREE",
     "ProblemFormatError",
     "ProblemValidationError",
-    "TimePolynomial",
     "PerturbationVector",
     "ProblemSpec",
     "ValidatedProblem",
@@ -70,51 +70,25 @@ def _finite(value, what):
     return v
 
 
-@dataclass(frozen=True)
-class TimePolynomial:
-    """Polynomial c0 + c1 t + ... + cd t^d with ascending coefficients."""
+def _coeffs(entry):
+    """Ascending coefficients c0, c1, .., cd of one polynomial entry of A or f.
 
-    coeffs: tuple
-
-    def __post_init__(self):
-        try:
-            coeffs = tuple(_finite(c, "polynomial coefficient") for c in self.coeffs)
-        except TypeError as exc:
-            raise ProblemFormatError(
-                f"polynomial coefficients must be a sequence of numbers, got {self.coeffs!r}"
-            ) from exc
-        if not coeffs:
-            coeffs = (0.0,)
-        if len(coeffs) - 1 > MAX_POLY_DEGREE:
-            raise ProblemFormatError(
-                "polynomial degree %d exceeds the supported maximum %d"
-                % (len(coeffs) - 1, MAX_POLY_DEGREE)
-            )
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __call__(self, t):
-        return float(npoly.polyval(t, self.coeffs))
-
-    def sample(self, ts):
-        """Evaluate on an array of times."""
-        ts = np.asarray(ts, dtype=float)
-        return np.broadcast_to(npoly.polyval(ts, self.coeffs), ts.shape).copy()
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    @property
-    def is_constant(self):
-        return all(c == 0.0 for c in self.coeffs[1:])
-
-
-def _as_poly(p):
-    if isinstance(p, TimePolynomial):
-        return p
-    if isinstance(p, (int, float)):
-        return TimePolynomial((float(p),))
-    return TimePolynomial(tuple(p))
+    A bare number is a constant; an empty sequence is the zero polynomial.
+    Coefficients must be finite and the degree at most MAX_POLY_DEGREE.
+    """
+    try:
+        raw = (entry,) if isinstance(entry, (int, float)) else tuple(entry)
+        coeffs = tuple(_finite(c, "polynomial coefficient") for c in raw)
+    except TypeError as exc:
+        raise ProblemFormatError(
+            f"polynomial coefficients must be a sequence of numbers, got {entry!r}"
+        ) from exc
+    if len(coeffs) - 1 > MAX_POLY_DEGREE:
+        raise ProblemFormatError(
+            "polynomial degree %d exceeds the supported maximum %d"
+            % (len(coeffs) - 1, MAX_POLY_DEGREE)
+        )
+    return coeffs or (0.0,)
 
 
 @dataclass(frozen=True)
@@ -172,7 +146,11 @@ class PerturbationVector:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Complete statement of one initial value problem."""
+    """Complete statement of one initial value problem.
+
+    A is an n x n tuple and f an n-tuple of coefficient tuples, one per
+    polynomial entry (see _coeffs); sample_A and sample_f evaluate them.
+    """
 
     n: int
     A: tuple
@@ -185,10 +163,10 @@ class ProblemSpec:
         n = int(self.n)
         if n < 1:
             raise ProblemFormatError("system size n must be at least 1")
-        A = tuple(tuple(_as_poly(p) for p in row) for row in self.A)
-        f = tuple(_as_poly(p) for p in self.f)
+        A = tuple(tuple(_coeffs(p) for p in row) for row in self.A)
+        f = tuple(_coeffs(p) for p in self.f)
         u0 = tuple(_finite(v, "initial value") for v in self.u0)
-        eps = self.eps if isinstance(self.eps, PerturbationVector) else PerturbationVector(tuple(self.eps))
+        eps = PerturbationVector(tuple(self.eps))
         T = _finite(self.T, "horizon T")
         if len(A) != n or any(len(row) != n for row in A):
             raise ProblemFormatError(f"coefficient matrix must be {n}x{n}")
@@ -209,34 +187,12 @@ class ProblemSpec:
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "eps", eps)
 
-    def _check_time(self, t):
-        t = float(t)
-        if t < 0.0 or t > self.T:
-            raise ValueError(f"time {t!r} outside the problem domain [0, {self.T!r}]")
-        return t
-
-    def eval_A(self, t):
-        """Coefficient matrix at one time."""
-        t = self._check_time(t)
-        return np.array([[p(t) for p in row] for row in self.A])
-
-    def eval_f(self, t):
-        """Forcing vector at one time."""
-        t = self._check_time(t)
-        return np.array([p(t) for p in self.f])
-
-    def has_constant_matrix(self):
-        return all(p.is_constant for row in self.A for p in row)
-
-    def has_constant_forcing(self):
-        return all(p.is_constant for p in self.f)
-
     def has_constant_coefficients(self):
-        return self.has_constant_matrix() and self.has_constant_forcing()
+        return not any(any(p[1:]) for row in (*self.A, self.f) for p in row)
 
     def with_eps(self, eps):
         """Same problem at a different point of the parameter space."""
-        return replace(self, eps=PerturbationVector(tuple(eps)))
+        return replace(self, eps=eps)
 
 
 @dataclass(frozen=True)
@@ -255,23 +211,28 @@ def _check_times(spec, ts):
 
 
 def sample_A(spec, ts):
-    """Coefficient matrix on an array of times; shape (len(ts), n, n)."""
+    """Coefficient matrix at one time or an array of times.
+
+    Returns shape (len(ts), n, n); a scalar time counts as one time, so
+    sample_A(spec, t)[0] is A(t). Times outside [0, T] raise ValueError.
+    """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     _check_times(spec, ts)
     out = np.empty((ts.size, spec.n, spec.n))
     for i, row in enumerate(spec.A):
         for j, p in enumerate(row):
-            out[:, i, j] = p.sample(ts)
+            out[:, i, j] = npoly.polyval(ts, p)
     return out
 
 
 def sample_f(spec, ts):
-    """Forcing on an array of times; shape (len(ts), n)."""
+    """Forcing at one time or an array of times; shape (len(ts), n), with a
+    scalar time counting as one time as in sample_A."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     _check_times(spec, ts)
     out = np.empty((ts.size, spec.n))
     for i, p in enumerate(spec.f):
-        out[:, i] = p.sample(ts)
+        out[:, i] = npoly.polyval(ts, p)
     return out
 
 
@@ -298,9 +259,9 @@ def validate(spec):
     dominance. A violation reports the earliest of those times at which it
     shows.
     """
-    off_entries = [p.coeffs for i, row in enumerate(spec.A)
+    off_entries = [p for i, row in enumerate(spec.A)
                    for j, p in enumerate(row) if i != j]
-    row_sums = [reduce(npoly.polyadd, (p.coeffs for p in row)) for row in spec.A]
+    row_sums = [reduce(npoly.polyadd, row) for row in spec.A]
     ts = np.unique(np.concatenate(
         [[0.0, spec.T]] + [_critical_times(c, spec.T) for c in off_entries + row_sums]
     ))
@@ -366,11 +327,11 @@ def problem_from_dict(data):
     try:
         return ProblemSpec(
             n=n,
-            A=tuple(tuple(_as_poly(entry) for entry in row) for row in data["A"]),
-            f=tuple(_as_poly(entry) for entry in data["f"]),
-            u0=tuple(data["u0"]),
+            A=data["A"],
+            f=data["f"],
+            u0=data["u0"],
             T=data["T"],
-            eps=PerturbationVector(tuple(data["eps"])),
+            eps=data["eps"],
         )
     except TypeError as exc:
         raise ProblemFormatError(f"malformed problem data: {exc}") from exc
@@ -383,8 +344,8 @@ def problem_to_dict(spec):
         "T": spec.T,
         "eps": list(spec.eps),
         "u0": list(spec.u0),
-        "A": [[list(p.coeffs) for p in row] for row in spec.A],
-        "f": [list(p.coeffs) for p in spec.f],
+        "A": [[list(p) for p in row] for row in spec.A],
+        "f": [list(p) for p in spec.f],
     }
 
 

@@ -1,14 +1,16 @@
 """Implicit time marching with monotone step systems.
 
-Step j solves (E/delta_j + A(t_j)) U_j = rhs(t_j) + (E/delta_j) U_{j-1}.
-Step matrices inherit positive diagonals, nonpositive off-diagonal entries
-and strict row dominance from A(t), so every step is a monotone
-(inverse-nonnegative) solve. The march builds and inverts all N step
-matrices at once, runs only the affine recurrence U_j = P_j U_{j-1} + q_j
-step by step, and then checks every step's residual in one vectorized
-pass. The certificates at the bottom of this module check the two
-consequences of the monotone structure on computed grids: preservation of
-nonnegative data and the maximum-norm stability bound.
+Step j solves (E/delta_j + A(t_j)) U_j = rhs(t_j) + (E/delta_j) U_{j-1},
+where rhs is the forcing f for a forced march and zero for the homogeneous
+one (the layer part of decompose); A and f come from sample_A and sample_f
+on all step times at once. Step matrices inherit positive diagonals,
+nonpositive off-diagonal entries and strict row dominance from A(t), so
+every step is a monotone (inverse-nonnegative) solve. The march builds and
+inverts all N step matrices at once, runs only the affine recurrence
+U_j = P_j U_{j-1} + q_j step by step, and then checks every step's residual
+in one vectorized pass. The certificates at the bottom of this module check
+the two consequences of the monotone structure on computed grids:
+preservation of nonnegative data and the maximum-norm stability bound.
 """
 
 from __future__ import annotations
@@ -21,13 +23,9 @@ from .mesh import build_mesh
 from .problem import sample_A, sample_f
 
 __all__ = [
-    "RHS_GIVEN",
-    "RHS_ZERO",
-    "GRID_KINDS",
     "STEP_RESIDUAL_RTOL",
     "MAX_PRINCIPLE_RTOL",
     "STABILITY_RTOL",
-    "SUPERPOSITION_RTOL",
     "SolveFailureError",
     "SolutionGrid",
     "DecomposedSolution",
@@ -41,14 +39,9 @@ __all__ = [
     "certify_stability",
 ]
 
-RHS_GIVEN = "given_f"
-RHS_ZERO = "zero_f"
-GRID_KINDS = ("full", "smooth", "singular")
-
 STEP_RESIDUAL_RTOL = 1e-12
 MAX_PRINCIPLE_RTOL = 1e-12
 STABILITY_RTOL = 1e-10
-SUPERPOSITION_RTOL = 1e-10
 
 
 class SolveFailureError(RuntimeError):
@@ -59,18 +52,15 @@ class SolveFailureError(RuntimeError):
 class SolutionGrid:
     """Discrete solution bound to the mesh it was computed on.
 
-    values[i, j] is component i at mesh point t_j. kind says which system
-    was marched: 'full' and 'smooth' used the problem forcing, 'singular'
-    the homogeneous system.
+    values[i, j] is component i at mesh point t_j. forced says which system
+    was marched: True for the problem forcing f (a full solve or the smooth
+    part), False for the homogeneous system (the layer part), whose
+    right-hand side the certificates then take as zero.
     """
 
     mesh: object
     values: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in GRID_KINDS:
-            raise ValueError(f"unknown grid kind {self.kind!r}")
+    forced: bool
 
     @property
     def n(self):
@@ -128,14 +118,13 @@ def _affine_recurrence(inverses, ed, f, u):
     return values
 
 
-def march(vp, mesh, u_init, rhs_mode=RHS_GIVEN, kind=None,
-          residual_rtol=STEP_RESIDUAL_RTOL):
+def march(vp, mesh, u_init, forced=True, residual_rtol=STEP_RESIDUAL_RTOL):
     """Backward time march over a mesh.
 
     All N step matrices M_j are built and inverted in one batched call, and
     each step becomes the affine map U_j = P_j U_{j-1} + q_j with
-    P_j = M_j^-1 diag(eps)/delta_j and q_j = M_j^-1 f(t_j) (q_j = 0 for
-    'zero_f'); only that recurrence runs step by step. Afterwards every
+    P_j = M_j^-1 diag(eps)/delta_j and q_j = M_j^-1 f(t_j) (q_j = 0 when
+    not forced); only that recurrence runs step by step. Afterwards every
     step is checked against the system it solves, in one vectorized pass.
 
     Parameters
@@ -146,17 +135,16 @@ def march(vp, mesh, u_init, rhs_mode=RHS_GIVEN, kind=None,
         Mesh to march over; must match the problem's horizon and scales.
     u_init : array_like
         Value at t = 0 for this grid.
-    rhs_mode : str
-        'given_f' uses the problem forcing, 'zero_f' marches the homogeneous
-        system (the layer part of the decomposition).
-    kind : str, optional
-        Tag stored on the returned grid. Defaults to 'full' for 'given_f'
-        and 'singular' for 'zero_f'.
+    forced : bool
+        True marches with the problem forcing f; False marches the
+        homogeneous system (the layer part of the decomposition). Stored on
+        the returned grid.
     residual_rtol : float
         Residual guard: every step must satisfy
         |M_j U_j - b_j| <= residual_rtol * (1 + |b_j|) in the maximum norm,
-        with b_j = diag(eps)/delta_j U_{j-1} + rhs(t_j). The first step
-        that does not raises SolveFailureError.
+        with b_j = diag(eps)/delta_j U_{j-1} + f(t_j) (without f(t_j)
+        when not forced). The first step that does not raises
+        SolveFailureError.
 
     Returns
     -------
@@ -172,17 +160,13 @@ def march(vp, mesh, u_init, rhs_mode=RHS_GIVEN, kind=None,
         raise ValueError(
             "mesh horizon %r does not match problem horizon %r" % (mesh.T, spec.T)
         )
-    if rhs_mode not in (RHS_GIVEN, RHS_ZERO):
-        raise ValueError(f"unknown rhs_mode {rhs_mode!r}")
-    if kind is None:
-        kind = "full" if rhs_mode == RHS_GIVEN else "singular"
     u = np.array(u_init, dtype=float).reshape(-1)
     if u.shape != (n,) or not np.isfinite(u).all():
         raise ValueError("initial value must be a finite vector of length %d" % n)
 
     ed = spec.eps.as_array() / mesh.deltas[:, None]
     m = step_matrices(vp, mesh)
-    f = sample_f(spec, mesh.points[1:]) if rhs_mode == RHS_GIVEN else None
+    f = sample_f(spec, mesh.points[1:]) if forced else None
     values = _affine_recurrence(np.linalg.inv(m), ed, f, u)
 
     b = ed * values[:-1]
@@ -199,13 +183,13 @@ def march(vp, mesh, u_init, rhs_mode=RHS_GIVEN, kind=None,
         raise SolveFailureError("non-finite values in the computed grid")
     values = np.ascontiguousarray(values.T)
     values.setflags(write=False)
-    return SolutionGrid(mesh=mesh, values=values, kind=kind)
+    return SolutionGrid(mesh=mesh, values=values, forced=forced)
 
 
 def solve(vp, N):
     """Build the layer-adapted mesh with N intervals and march the problem."""
     mesh = build_mesh(vp, N)
-    return march(vp, mesh, vp.spec.u0, RHS_GIVEN, kind="full")
+    return march(vp, mesh, vp.spec.u0)
 
 
 def decompose(vp, mesh):
@@ -217,10 +201,10 @@ def decompose(vp, mesh):
     full solution to rounding; nothing is subtracted from a computed grid.
     """
     spec = vp.spec
-    v0 = np.linalg.solve(spec.eval_A(0.0), spec.eval_f(0.0))
+    v0 = np.linalg.solve(sample_A(spec, 0.0)[0], sample_f(spec, 0.0)[0])
     w0 = np.asarray(spec.u0, dtype=float) - v0
-    smooth = march(vp, mesh, v0, RHS_GIVEN, kind="smooth")
-    singular = march(vp, mesh, w0, RHS_ZERO, kind="singular")
+    smooth = march(vp, mesh, v0)
+    singular = march(vp, mesh, w0, forced=False)
     return DecomposedSolution(smooth=smooth, singular=singular)
 
 
@@ -241,7 +225,7 @@ def apply_operator(vp, grid):
 
 
 def _rhs_values(vp, grid):
-    if grid.kind == "singular":
+    if not grid.forced:
         return np.zeros((grid.mesh.N, grid.n))
     return sample_f(vp.spec, grid.mesh.points[1:])
 

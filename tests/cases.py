@@ -2,11 +2,12 @@
 
 import numpy as np
 
-from layerode import PerturbationVector, ProblemSpec, TimePolynomial
+from layerode import PerturbationVector, ProblemSpec
 
 
 def poly(*coeffs):
-    return TimePolynomial(tuple(float(c) for c in coeffs))
+    """One polynomial entry of A or f: ascending coefficients as floats."""
+    return tuple(float(c) for c in coeffs)
 
 
 def constant_matrix(rows):

@@ -199,7 +199,7 @@ def test_criterion_10_oracle_cross_validation():
         coarse = march(vp, coarse_mesh, vp.spec.u0)
         fine = march(vp, bisect_mesh(coarse_mesh), vp.spec.u0)
         extrapolated = 2.0 * fine.values[:, ::2] - coarse.values
-        reference = SolutionGrid(mesh=coarse_mesh, values=extrapolated, kind="full")
+        reference = SolutionGrid(mesh=coarse_mesh, values=extrapolated, forced=True)
         worst = max(worst, exact_error(reference, vp))
     ok = worst <= 1e-6
     _criterion(10, "closed form agrees with a brute-force run", ok,

@@ -22,6 +22,8 @@ from layerode import (
     march,
     matrix_exponential,
     order_rows,
+    sample_A,
+    sample_f,
     solve,
     transition_points,
     two_mesh_difference,
@@ -76,7 +78,7 @@ def test_matrix_exponential_semigroup():
 def test_closed_form_decoupled_exponentials():
     spec = cases.decoupled_identity()
     u = exact_constant_solution(
-        spec.eval_A(0.0), spec.eval_f(0.0), spec.u0, spec.eps, 0.5
+        sample_A(spec, 0.0)[0], sample_f(spec, 0.0)[0], spec.u0, spec.eps, 0.5
     )
     assert u[0] == pytest.approx(1.2664165549094176e-14, rel=1e-12)
     assert u[1] == pytest.approx(0.1353352832366127, rel=1e-13)
@@ -85,7 +87,7 @@ def test_closed_form_decoupled_exponentials():
 def test_closed_form_initial_value():
     spec = cases.constant_two_scale()
     u = exact_constant_solution(
-        spec.eval_A(0.0), spec.eval_f(0.0), spec.u0, spec.eps, 0.0
+        sample_A(spec, 0.0)[0], sample_f(spec, 0.0)[0], spec.u0, spec.eps, 0.0
     )
     assert np.abs(u - np.array(spec.u0)).max() <= 1e-14
 
@@ -94,7 +96,7 @@ def test_closed_form_steady_state():
     spec = cases.constant_two_scale()
     for t in (0.0, 0.25, 1.0):
         u = exact_constant_solution(
-            spec.eval_A(0.0), spec.eval_f(0.0), (1.0, 1.0), spec.eps, t
+            sample_A(spec, 0.0)[0], sample_f(spec, 0.0)[0], (1.0, 1.0), spec.eps, t
         )
         assert np.abs(u - 1.0).max() <= 1e-13
 

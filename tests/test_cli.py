@@ -315,3 +315,15 @@ def test_every_exit_code(tmp_path, capsys, monkeypatch):
         assert (err == "") == (code == EXIT_OK), (code, err)
     assert sorted(case[0] for case in EXIT_CASES) == list(range(7))
     assert "step 1 solve residual" in err
+
+
+def test_linalg_error_exits_6(capsys, monkeypatch):
+    # A singular matrix inside numpy's linear algebra is a numerical
+    # failure, not an input error, although LinAlgError is a ValueError.
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr("layerode.cli.march", singular)
+    source = PROBLEMS_DIR / "constant_two_scale.json"
+    assert main(["solve", "--problem", str(source), "--N", "16"]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == "numerical error: Singular matrix\n"

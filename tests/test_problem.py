@@ -12,7 +12,6 @@ from layerode import (
     ProblemFormatError,
     ProblemSpec,
     ProblemValidationError,
-    TimePolynomial,
     load_problem,
     problem_from_dict,
     problem_to_dict,
@@ -22,24 +21,37 @@ from layerode import (
 )
 
 
+def _scalar_doc(a, f=0.0):
+    return {"n": 1, "T": 2.0, "eps": [1.0], "u0": [0.0], "A": [[a]], "f": [f]}
+
+
 def test_polynomial_evaluation_and_degree():
-    p = TimePolynomial((1.0, 2.0, 3.0))
-    assert p(0.0) == 1.0
-    assert p(2.0) == 17.0
-    assert p.degree == 2
-    assert not p.is_constant
-    assert TimePolynomial((5.0,)).is_constant
-    assert np.array_equal(p.sample([0.0, 1.0]), np.array([1.0, 6.0]))
+    spec = problem_from_dict(_scalar_doc([1, 2, 3], f=5))
+    assert spec.A == (((1.0, 2.0, 3.0),),)
+    assert spec.f == ((5.0,),)
+    assert sample_A(spec, 0.0)[0, 0, 0] == 1.0
+    assert sample_A(spec, 2.0)[0, 0, 0] == 17.0
+    assert np.array_equal(sample_A(spec, [0.0, 1.0])[:, 0, 0], np.array([1.0, 6.0]))
+    assert np.array_equal(sample_f(spec, [0.0, 2.0])[:, 0], np.array([5.0, 5.0]))
+    assert not spec.has_constant_coefficients()
+    assert problem_from_dict(_scalar_doc([4, 0, 0], f=[5])).has_constant_coefficients()
+    # an empty coefficient list is the zero polynomial
+    assert problem_from_dict(_scalar_doc(1.0, f=[])).f == ((0.0,),)
 
 
 def test_polynomial_degree_cap():
-    with pytest.raises(ProblemFormatError):
-        TimePolynomial(tuple(range(18)))
+    problem_from_dict(_scalar_doc(list(range(17))))
+    with pytest.raises(ProblemFormatError, match="degree 17"):
+        problem_from_dict(_scalar_doc(list(range(18))))
 
 
 def test_polynomial_rejects_non_finite_coefficients():
-    with pytest.raises(ProblemFormatError):
-        TimePolynomial((1.0, float("nan")))
+    with pytest.raises(ProblemFormatError, match="finite"):
+        problem_from_dict(_scalar_doc([1.0, float("nan")]))
+    with pytest.raises(ProblemFormatError, match="finite"):
+        problem_from_dict(_scalar_doc(1.0, f=[float("inf")]))
+    with pytest.raises(ProblemFormatError, match="sequence of numbers"):
+        problem_from_dict(_scalar_doc([1.0, None]))
 
 
 def test_eps_must_increase_strictly():
@@ -177,14 +189,18 @@ def test_sampling_shapes():
     ts = np.linspace(0.0, spec.T, 7)
     assert sample_A(spec, ts).shape == (7, 3, 3)
     assert sample_f(spec, ts).shape == (7, 3)
+    assert sample_A(spec, 0.5).shape == (1, 3, 3)
+    assert sample_f(spec, 0.5).shape == (1, 3)
 
 
 def test_evaluation_outside_domain_rejected():
     spec = cases.constant_two_scale()
     with pytest.raises(ValueError):
-        spec.eval_A(-0.1)
+        sample_A(spec, -0.1)
     with pytest.raises(ValueError):
-        spec.eval_f(1.5)
+        sample_f(spec, 1.5)
+    with pytest.raises(ValueError):
+        sample_A(spec, [0.5, 1.5])
 
 
 def test_json_round_trip():

@@ -1,14 +1,13 @@
 """Implicit march, decomposition, operator identity and certificates."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import cases
 from layerode import (
-    RHS_GIVEN,
-    RHS_ZERO,
     ShishkinMesh,
-    SolutionGrid,
     SolveFailureError,
     apply_operator,
     build_mesh,
@@ -16,6 +15,7 @@ from layerode import (
     certify_stability,
     decompose,
     march,
+    sample_A,
     sample_f,
     solve,
     step_matrices,
@@ -84,21 +84,22 @@ def _per_step_march(vp, mesh, u_init, forced):
     for j in range(1, mesh.N + 1):
         t = float(mesh.points[j])
         ed = eps / mesh.deltas[j - 1]
-        b = ed * u + (spec.eval_f(t) if forced else 0.0)
-        u = np.linalg.solve(spec.eval_A(t) + np.diag(ed), b)
+        b = ed * u + (sample_f(spec, t)[0] if forced else 0.0)
+        u = np.linalg.solve(sample_A(spec, t)[0] + np.diag(ed), b)
         columns.append(u)
     return np.array(columns).T
 
 
 @pytest.mark.parametrize("name,spec", cases.suite())
 @pytest.mark.parametrize("N", SUITE_N)
-@pytest.mark.parametrize("rhs_mode", [RHS_GIVEN, RHS_ZERO])
-def test_march_matches_per_step_solves(name, spec, N, rhs_mode):
+@pytest.mark.parametrize("forced", [True, False], ids=["given_f", "zero_f"])
+def test_march_matches_per_step_solves(name, spec, N, forced):
     vp = _validated(spec)
     mesh = build_mesh(vp, N)
     u_init = np.asarray(spec.u0) + 1.0
-    grid = march(vp, mesh, u_init, rhs_mode)
-    reference = _per_step_march(vp, mesh, u_init, rhs_mode == RHS_GIVEN)
+    grid = march(vp, mesh, u_init, forced)
+    assert grid.forced is forced
+    reference = _per_step_march(vp, mesh, u_init, forced)
     scale = max(1.0, np.abs(reference).max())
     assert np.abs(grid.values - reference).max() <= 1e-12 * scale
 
@@ -117,7 +118,7 @@ def test_superposition_of_parts(name, spec, N):
 def test_decomposition_initial_split():
     vp = _validated(cases.constant_two_scale())
     parts = decompose(vp, build_mesh(vp, 16))
-    v0 = np.linalg.solve(vp.spec.eval_A(0.0), vp.spec.eval_f(0.0))
+    v0 = np.linalg.solve(sample_A(vp.spec, 0.0)[0], sample_f(vp.spec, 0.0)[0])
     assert np.array_equal(parts.smooth.values[:, 0], v0)
     assert np.array_equal(parts.singular.values[:, 0], np.array(vp.spec.u0) - v0)
 
@@ -179,10 +180,20 @@ def test_stability_bound_values():
     assert stability.bound == 1.0
 
 
+def test_layer_part_certificates_use_zero_right_hand_side():
+    # the layer part starts at u0 - A(0)^-1 f(0) = (-0.5, -0.5) and marches
+    # the homogeneous system, so its bound is the initial norm alone; the
+    # forcing would give |f| / alpha = 1
+    vp = _validated(replace(cases.constant_two_scale(), u0=(0.5, 0.5)))
+    singular = decompose(vp, build_mesh(vp, 16)).singular
+    assert not singular.forced
+    assert certify_stability(vp, singular).bound == 0.5
+
+
 def test_certificate_vacuous_for_negative_initial_value():
     vp = _validated(cases.decay_scalar())
     mesh = build_mesh(vp, 4)
-    grid = march(vp, mesh, (-1.0,), RHS_ZERO)
+    grid = march(vp, mesh, (-1.0,), forced=False)
     assert grid.values.min() < 0.0
     assert certify_max_principle(vp, grid)
 
@@ -213,11 +224,9 @@ def test_march_rejects_foreign_mesh():
         march(scalar, wrong_T, scalar.spec.u0)
 
 
-def test_march_rejects_bad_mode_and_initial_value():
+def test_march_rejects_bad_initial_value():
     vp = _validated(cases.decay_scalar())
     mesh = build_mesh(vp, 4)
-    with pytest.raises(ValueError):
-        march(vp, mesh, vp.spec.u0, rhs_mode="bogus")
     with pytest.raises(ValueError):
         march(vp, mesh, (1.0, 2.0))
     with pytest.raises(ValueError):
@@ -259,13 +268,6 @@ def test_residual_guard_tolerance_scale(name, spec):
     with pytest.raises(SolveFailureError):
         march(vp, mesh, vp.spec.u0, residual_rtol=ratio / 10.0)
     march(vp, mesh, vp.spec.u0, residual_rtol=ratio * 10.0)
-
-
-def test_grid_kind_is_validated():
-    vp = _validated(cases.decay_scalar())
-    grid = solve(vp, 4)
-    with pytest.raises(ValueError):
-        SolutionGrid(mesh=grid.mesh, values=grid.values, kind="bogus")
 
 
 def test_solution_values_are_read_only():
