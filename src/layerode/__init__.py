@@ -21,14 +21,12 @@ from .analysis import (
     eps_label,
     exact_constant_solution,
     exact_error,
-    layer_functions,
     matrix_exponential,
     order_rows,
     two_mesh_difference,
     uniform_sweep,
 )
 from .mesh import (
-    InteractionPoints,
     MeshError,
     ShishkinMesh,
     bisect_mesh,
@@ -56,7 +54,6 @@ from .solver import (
     SolutionGrid,
     SolveFailureError,
     StabilityCertificate,
-    apply_operator,
     certify_max_principle,
     certify_stability,
     decompose,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import bisect_mesh, build_mesh
-from .problem import PerturbationVector, sample_A, sample_f, validate
+from .problem import sample_A, sample_f, validate
 from .solver import march
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "ConvergenceRow",
     "ConvergenceReport",
     "SweepReport",
-    "layer_functions",
     "matrix_exponential",
     "exact_constant_solution",
     "exact_error",
@@ -54,19 +53,23 @@ class MeshNestingError(ValueError):
     """Two-grid differencing needs a mesh and its exact bisection."""
 
 
-def layer_functions(eps, alpha, t):
-    """Decay envelopes exp(-alpha t / eps_i), one per scale, at time t >= 0."""
-    eps = PerturbationVector(tuple(eps))
-    t = float(t)
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    return np.exp(-float(alpha) * t / eps.as_array())
+def matrix_exponential(m):
+    """exp(m) for one (n, n) matrix or for each matrix of a (k, n, n) stack.
 
-
-def _expm_batch(ms):
-    # Scaling and squaring with a fixed-degree series. Scaled row norms
-    # <= 1/2 keep the degree-16 truncation below 1e-16 relative.
-    ms = np.asarray(ms, dtype=float)
+    Scaling and squaring with a fixed-degree series: scaled row norms
+    <= 1/2 keep the degree-16 truncation below 1e-16 relative. A stack
+    shares one squaring count, set by its largest row norm, so a single
+    matrix gives bit for bit the entry of a one-matrix stack; the matrices
+    with smaller norms are overscaled (Al-Mohy & Higham, SIAM J. Matrix
+    Anal. Appl. 31, 2009). Raises ValueError for other shapes, an empty
+    matrix or a non-finite entry.
+    """
+    a = np.asarray(m, dtype=float)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
+        raise ValueError(f"expected a square matrix or a stack of them, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    ms = a.reshape((-1,) + a.shape[-2:])
     n = ms.shape[-1]
     norm = float(np.abs(ms).sum(axis=-1).max())
     squarings = 0 if norm <= 0.5 else int(math.ceil(math.log2(norm / 0.5)))
@@ -78,48 +81,31 @@ def _expm_batch(ms):
         acc += c * eye
     for _ in range(squarings):
         acc = acc @ acc
-    return acc
+    return acc.reshape(a.shape)
 
 
-def matrix_exponential(m):
-    """exp(m) for a small dense matrix by scaling and squaring."""
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    return _expm_batch(a[None, :, :])[0]
+def exact_constant_solution(spec, ts):
+    """Closed-form solution at one time or an array of times, for constant
+    A and f; shape (len(ts), n), a scalar time counting as one time as in
+    sample_A.
 
-
-def _exact_solution_at(a, f_const, u0, eps_arr, ts):
-    # u(t) = A^-1 f + exp(-t E^-1 A) (u0 - A^-1 f), evaluated for a batch of
-    # times with one shared squaring count.
-    steady = np.linalg.solve(a, f_const)
-    scaled = a / eps_arr[:, None]
-    exps = _expm_batch(-ts[:, None, None] * scaled[None, :, :])
-    return steady + exps @ (np.asarray(u0, dtype=float) - steady)
-
-
-def exact_constant_solution(a, f_const, u0, eps, t):
-    """Closed-form solution value at time t for constant A and f.
-
-    u(t) = A^-1 f + exp(-t E^-1 A) (u(0) - A^-1 f) with the matrix
-    exponential evaluated by scaling and squaring. Raises
-    numpy.linalg.LinAlgError if A is singular.
+    u(t) = A^-1 f + exp(-t E^-1 A) (u(0) - A^-1 f), with every exponential
+    from one matrix_exponential call (one squaring count for all times).
+    Raises OracleUnavailableError when the coefficients vary in time,
+    ValueError for a negative time and numpy.linalg.LinAlgError if A is
+    singular.
     """
-    eps = PerturbationVector(tuple(eps))
-    a = np.asarray(a, dtype=float)
-    f_const = np.asarray(f_const, dtype=float)
-    u0 = np.asarray(u0, dtype=float)
-    n = eps.n
-    if a.shape != (n, n):
-        raise ValueError(f"coefficient matrix shape {a.shape} does not match {n} scale(s)")
-    if f_const.shape != (n,) or u0.shape != (n,):
-        raise ValueError("forcing and initial value must be vectors of length %d" % n)
-    t = float(t)
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    return _exact_solution_at(a, f_const, u0, eps.as_array(), np.array([t]))[0]
+    if not spec.has_constant_coefficients():
+        raise OracleUnavailableError(
+            "coefficients vary in time, no closed-form reference; use two_mesh mode"
+        )
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if (ts < 0.0).any():
+        raise ValueError("times must be nonnegative")
+    a = sample_A(spec, 0.0)[0]
+    steady = np.linalg.solve(a, sample_f(spec, 0.0)[0])
+    exps = matrix_exponential(-ts[:, None, None] * (a / spec.eps.as_array()[:, None]))
+    return steady + exps @ (np.asarray(spec.u0, dtype=float) - steady)
 
 
 def exact_error(grid, vp):
@@ -128,18 +114,7 @@ def exact_error(grid, vp):
     Defined only for constant coefficients; time-varying problems have no
     closed form here, measure them with the two-grid difference instead.
     """
-    spec = vp.spec
-    if not spec.has_constant_coefficients():
-        raise OracleUnavailableError(
-            "coefficients vary in time, no closed-form reference; use two_mesh mode"
-        )
-    exact = _exact_solution_at(
-        sample_A(spec, 0.0)[0],
-        sample_f(spec, 0.0)[0],
-        np.asarray(spec.u0, dtype=float),
-        spec.eps.as_array(),
-        np.asarray(grid.mesh.points),
-    )
+    exact = exact_constant_solution(vp.spec, grid.mesh.points)
     return float(np.abs(grid.values - exact.T).max())
 
 
@@ -205,7 +180,8 @@ def convergence_study(vp, n_values, mode):
     """Errors and observed orders over a doubling sequence of mesh sizes.
 
     exact_oracle mode measures against the constant-coefficient closed
-    form. two_mesh mode solves each mesh and its bisection and differences
+    form (exact_constant_solution, which raises OracleUnavailableError when
+    the coefficients vary in time). two_mesh mode solves each mesh and its bisection and differences
     the two grids at the shared points.
     """
     n_values = [int(v) for v in n_values]
@@ -216,10 +192,6 @@ def convergence_study(vp, n_values, mode):
             raise ValueError("mesh sizes must double, got %d then %d" % (first, second))
     if mode not in (MODE_EXACT, MODE_TWO_MESH):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == MODE_EXACT and not vp.spec.has_constant_coefficients():
-        raise OracleUnavailableError(
-            "coefficients vary in time, no closed-form reference; use two_mesh mode"
-        )
     errors = []
     for nn in n_values:
         mesh = build_mesh(vp, nn)

@@ -7,10 +7,10 @@ one parameter choice (converge) or across a parameter grid (sweep).
 Exit codes: 0 ok, 1 solve certificate failure, 2 unreadable or malformed
 input, 3 problem validation failure, 4 mesh construction failure,
 5 requested convergence band not met, 6 numerical failure (a step failed
-the residual guard, the grid went non-finite, or numpy's linear algebra
-reported a singular matrix). All numbers are written with 17 significant
-digits, so output is byte-identical across runs and floats round-trip
-exactly.
+the fixed 1e-12 residual guard, the grid went non-finite, or numpy's linear
+algebra reported a singular matrix). All numbers are written with 17
+significant digits, so output is byte-identical across runs and floats
+round-trip exactly.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .problem import (
     validate,
 )
 from .solver import (
-    STEP_RESIDUAL_RTOL,
     SolveFailureError,
     certify_max_principle,
     certify_stability,
@@ -156,7 +155,7 @@ def _cmd_mesh(args):
 def _cmd_solve(args):
     vp = _load_validated(args)
     mesh = build_mesh(vp, args.N)
-    grid = march(vp, mesh, vp.spec.u0, residual_rtol=args.residual_rtol)
+    grid = march(vp, mesh, vp.spec.u0)
     n = vp.spec.n
     lines = ["# alpha = %s" % _fmt(vp.alpha)]
     certificates_ok = True
@@ -288,9 +287,6 @@ def _build_parser():
                    help="append smooth (V) and layer (W) columns")
     p.add_argument("--certify", action="store_true",
                    help="add nonnegativity and stability certificates to the header")
-    p.add_argument("--residual-rtol", type=float, default=STEP_RESIDUAL_RTOL,
-                   help="residual tolerance checked on every step "
-                        "(default %(default)s)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_solve)
 

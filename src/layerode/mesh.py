@@ -19,7 +19,6 @@ from .problem import PerturbationVector
 __all__ = [
     "MeshError",
     "ShishkinMesh",
-    "InteractionPoints",
     "transition_points",
     "interval_counts",
     "piecewise_uniform_mesh",
@@ -183,23 +182,13 @@ def bisect_mesh(mesh):
     )
 
 
-@dataclass(frozen=True)
-class InteractionPoints:
-    """Crossing times of the scaled layer envelopes, keyed by 1-based (i, j)."""
-
-    n: int
-    values: dict
-
-    def point(self, i, j):
-        return self.values[(i, j)]
-
-
 def interaction_points(eps, alpha):
-    """Crossing time of the i-th and j-th scaled layer envelopes, i < j.
+    """Crossing times of the scaled layer envelopes as a dict {(i, j): t}.
 
-    The closed form is ln(eps_j/eps_i) / (alpha (1/eps_i - 1/eps_j)). The
-    times increase in both indices; that ordering is checked here because
-    analysis code relies on it.
+    Keys are 1-based pairs i < j; t = ln(eps_j/eps_i) / (alpha (1/eps_i -
+    1/eps_j)) is where exp(-alpha t / eps_i) / eps_i meets
+    exp(-alpha t / eps_j) / eps_j. Every time must be positive and the
+    times must increase in both indices; either failing raises MeshError.
     """
     eps = PerturbationVector(tuple(eps))
     alpha = float(alpha)
@@ -220,4 +209,4 @@ def interaction_points(eps, alpha):
         later = values.get((i, j + 1))
         if later is not None and t > later:
             raise MeshError("crossing times out of order at (%d,%d)" % (i, j))
-    return InteractionPoints(n=n, values=values)
+    return values

@@ -63,8 +63,16 @@ class ProblemValidationError(ValueError):
         super().__init__(message)
 
 
+def _number(value, what):
+    # float() parses strings too, and a string where a sequence is expected
+    # would be read one character at a time ("12" as the coefficients 1, 2).
+    if isinstance(value, (str, bytes)):
+        raise ProblemFormatError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _finite(value, what):
-    v = float(value)
+    v = _number(value, what)
     if not math.isfinite(v):
         raise ProblemFormatError(f"{what} must be finite, got {value!r}")
     return v
@@ -99,7 +107,7 @@ class PerturbationVector:
 
     def __post_init__(self):
         try:
-            eps = tuple(float(e) for e in self.eps)
+            eps = tuple(_number(e, "perturbation parameter") for e in self.eps)
         except TypeError as exc:
             raise ProblemFormatError(
                 f"perturbation parameters must be a sequence of numbers, got {self.eps!r}"

@@ -34,7 +34,6 @@ __all__ = [
     "march",
     "solve",
     "decompose",
-    "apply_operator",
     "certify_max_principle",
     "certify_stability",
 ]
@@ -73,10 +72,6 @@ class DecomposedSolution:
 
     smooth: SolutionGrid
     singular: SolutionGrid
-
-    @property
-    def mesh(self):
-        return self.smooth.mesh
 
     def total(self):
         return self.smooth.values + self.singular.values
@@ -118,14 +113,19 @@ def _affine_recurrence(inverses, ed, f, u):
     return values
 
 
-def march(vp, mesh, u_init, forced=True, residual_rtol=STEP_RESIDUAL_RTOL):
+def march(vp, mesh, u_init, forced=True):
     """Backward time march over a mesh.
 
     All N step matrices M_j are built and inverted in one batched call, and
     each step becomes the affine map U_j = P_j U_{j-1} + q_j with
     P_j = M_j^-1 diag(eps)/delta_j and q_j = M_j^-1 f(t_j) (q_j = 0 when
     not forced); only that recurrence runs step by step. Afterwards every
-    step is checked against the system it solves, in one vectorized pass.
+    step is checked against the system it solves, in one vectorized pass:
+    the residual guard requires
+    |M_j U_j - b_j| <= STEP_RESIDUAL_RTOL * (1 + |b_j|) in the maximum norm,
+    with b_j = diag(eps)/delta_j U_{j-1} + f(t_j) (without f(t_j) when not
+    forced), and the first step that fails it raises SolveFailureError.
+    The tolerance is the module constant, read at call time.
 
     Parameters
     ----------
@@ -139,12 +139,6 @@ def march(vp, mesh, u_init, forced=True, residual_rtol=STEP_RESIDUAL_RTOL):
         True marches with the problem forcing f; False marches the
         homogeneous system (the layer part of the decomposition). Stored on
         the returned grid.
-    residual_rtol : float
-        Residual guard: every step must satisfy
-        |M_j U_j - b_j| <= residual_rtol * (1 + |b_j|) in the maximum norm,
-        with b_j = diag(eps)/delta_j U_{j-1} + f(t_j) (without f(t_j)
-        when not forced). The first step that does not raises
-        SolveFailureError.
 
     Returns
     -------
@@ -173,7 +167,7 @@ def march(vp, mesh, u_init, forced=True, residual_rtol=STEP_RESIDUAL_RTOL):
     if f is not None:
         b += f
     residual = np.abs(np.einsum("jik,jk->ji", m, values[1:]) - b).max(axis=1)
-    failed = np.flatnonzero(residual > residual_rtol * (1.0 + np.abs(b).max(axis=1)))
+    failed = np.flatnonzero(residual > STEP_RESIDUAL_RTOL * (1.0 + np.abs(b).max(axis=1)))
     if failed.size:
         j = int(failed[0])
         raise SolveFailureError(
@@ -206,22 +200,6 @@ def decompose(vp, mesh):
     smooth = march(vp, mesh, v0)
     singular = march(vp, mesh, w0, forced=False)
     return DecomposedSolution(smooth=smooth, singular=singular)
-
-
-def apply_operator(vp, grid):
-    """Apply the discrete stepping operator to a grid; returns (n, N) values.
-
-    Column j-1 holds E (U_j - U_{j-1})/delta_j + A(t_j) U_j, which for a
-    marched grid reproduces the right-hand side the march used.
-    """
-    spec = vp.spec
-    u = grid.values
-    mesh = grid.mesh
-    difference = (u[:, 1:] - u[:, :-1]) / mesh.deltas
-    a_all = sample_A(spec, mesh.points[1:])
-    return spec.eps.as_array()[:, None] * difference + np.einsum(
-        "jik,kj->ij", a_all, u[:, 1:]
-    )
 
 
 def _rhs_values(vp, grid):

@@ -166,11 +166,11 @@ def test_criterion_8_envelope_crossing_times():
         eps = cases.random_separated_eps(rng, n)
         points = interaction_points(eps, alpha)
         ok = True
-        for (i, j), t in points.values.items():
+        for (i, j), t in points.items():
             ok &= 0.0 < t <= T
             for successor in ((i + 1, j), (i, j + 1)):
-                if successor in points.values:
-                    ok &= t <= points.values[successor]
+                if successor in points:
+                    ok &= t <= points[successor]
         failures += not ok
     _criterion(8, "crossing times ordered and inside (0, T]",
                failures == 0, "%d failures" % failures)

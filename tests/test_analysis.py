@@ -1,6 +1,7 @@
 """Layer envelopes, the constant-coefficient closed form and the harness."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,12 +19,9 @@ from layerode import (
     eps_label,
     exact_constant_solution,
     exact_error,
-    layer_functions,
     march,
     matrix_exponential,
     order_rows,
-    sample_A,
-    sample_f,
     solve,
     transition_points,
     two_mesh_difference,
@@ -32,22 +30,12 @@ from layerode import (
 )
 
 
-def test_layer_function_values():
-    values = layer_functions((0.5, 1.0), 1.0, 1.0)
-    assert values == pytest.approx(
-        (0.1353352832366127, 0.36787944117144233), rel=1e-15
-    )
-    assert np.array_equal(layer_functions((0.5, 1.0), 1.0, 0.0), [1.0, 1.0])
-    with pytest.raises(ValueError):
-        layer_functions((0.5, 1.0), 1.0, -0.5)
-
-
 def test_envelope_reaches_reciprocal_n_at_transition():
     eps, alpha, T, N = (1.0 / 64.0, 1.0 / 16.0), 1.0, 1.0, 64
     sigmas, bits = transition_points(eps, alpha, T, N)
     assert bits == (1, 1)
     for i, sigma in enumerate(sigmas):
-        value = layer_functions(eps, alpha, sigma)[i]
+        value = math.exp(-alpha * sigma / eps[i])
         assert value == pytest.approx(1.0 / N, rel=1e-12)
 
 
@@ -75,30 +63,48 @@ def test_matrix_exponential_semigroup():
     assert np.allclose(once @ once, twice, rtol=1e-12, atol=1e-15)
 
 
+@pytest.mark.parametrize("bad", [
+    np.zeros(3),
+    np.zeros((2, 3)),
+    np.zeros((0, 0)),
+    np.array([[0.0, 1.0], [np.nan, 0.0]]),
+], ids=["1-D", "non-square", "empty", "non-finite"])
+def test_matrix_exponential_rejects_bad_input(bad):
+    with pytest.raises(ValueError):
+        matrix_exponential(bad)
+
+
+def test_matrix_exponential_single_matrix_is_a_one_matrix_stack():
+    m = np.array([[-7.0, 2.5], [1.0, -3.25]])
+    assert np.array_equal(matrix_exponential(m), matrix_exponential(m[None])[0])
+
+
 def test_closed_form_decoupled_exponentials():
     spec = cases.decoupled_identity()
-    u = exact_constant_solution(
-        sample_A(spec, 0.0)[0], sample_f(spec, 0.0)[0], spec.u0, spec.eps, 0.5
-    )
+    u = exact_constant_solution(spec, 0.5)[0]
     assert u[0] == pytest.approx(1.2664165549094176e-14, rel=1e-12)
     assert u[1] == pytest.approx(0.1353352832366127, rel=1e-13)
 
 
 def test_closed_form_initial_value():
     spec = cases.constant_two_scale()
-    u = exact_constant_solution(
-        sample_A(spec, 0.0)[0], sample_f(spec, 0.0)[0], spec.u0, spec.eps, 0.0
-    )
-    assert np.abs(u - np.array(spec.u0)).max() <= 1e-14
+    u = exact_constant_solution(spec, 0.0)
+    assert u.shape == (1, 2)
+    assert np.abs(u[0] - np.array(spec.u0)).max() <= 1e-14
 
 
 def test_closed_form_steady_state():
-    spec = cases.constant_two_scale()
-    for t in (0.0, 0.25, 1.0):
-        u = exact_constant_solution(
-            sample_A(spec, 0.0)[0], sample_f(spec, 0.0)[0], (1.0, 1.0), spec.eps, t
-        )
-        assert np.abs(u - 1.0).max() <= 1e-13
+    spec = replace(cases.constant_two_scale(), u0=(1.0, 1.0))
+    u = exact_constant_solution(spec, [0.0, 0.25, 1.0])
+    assert u.shape == (3, 2)
+    assert np.abs(u - 1.0).max() <= 1e-13
+
+
+def test_closed_form_needs_constant_coefficients_and_nonnegative_times():
+    with pytest.raises(OracleUnavailableError):
+        exact_constant_solution(cases.variable_three_scale(), 0.5)
+    with pytest.raises(ValueError):
+        exact_constant_solution(cases.constant_two_scale(), [0.5, -0.25])
 
 
 def test_exact_error_zero_for_steady_problem():

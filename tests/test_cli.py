@@ -93,6 +93,15 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "plot" in capsys.readouterr().err
 
 
+def test_string_number_exits_2(tmp_path, capsys):
+    data = problem_to_dict(cases.constant_two_scale())
+    data["u0"] = "00"
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["validate", "--problem", str(path)]) == EXIT_PARSE
+    assert "must be a number" in capsys.readouterr().err
+
+
 def test_mesh_csv_round_trips_points(tmp_path, capsys):
     spec = cases.layer_two_scale()
     path = _write_problem(tmp_path, spec)
@@ -279,6 +288,10 @@ def _fail_certificate(monkeypatch):
     monkeypatch.setattr("layerode.cli.certify_max_principle", lambda vp, grid: False)
 
 
+def _zero_residual_tolerance(monkeypatch):
+    monkeypatch.setattr("layerode.solver.STEP_RESIDUAL_RTOL", 0.0)
+
+
 def _bad_sign(text):
     data = json.loads(text)
     data["A"] = [[[3.0], [1.0]], [[-1.0], [3.0]]]
@@ -295,7 +308,7 @@ EXIT_CASES = [
     (EXIT_VALIDATION, _bad_sign, ["validate"], None),
     (EXIT_MESH, None, ["mesh", "--N", "6"], None),
     (EXIT_BAND, None, ["converge", "--N", "16,32", "--mode", "exact", "--min-p", "2.0"], None),
-    (EXIT_NUMERICAL, None, ["solve", "--N", "64", "--residual-rtol", "0"], None),
+    (EXIT_NUMERICAL, None, ["solve", "--N", "64"], _zero_residual_tolerance),
 ]
 
 

@@ -108,13 +108,13 @@ def test_bisection_is_nested_and_keeps_transitions():
 
 def test_crossing_time_closed_form():
     points = interaction_points((1.0 / 64.0, 1.0 / 16.0), 1.0)
-    assert points.point(1, 2) == pytest.approx(math.log(4.0) / 48.0, rel=1e-15)
+    assert points[(1, 2)] == pytest.approx(math.log(4.0) / 48.0, rel=1e-15)
 
 
 def test_crossing_times_increase_in_both_indices():
     points = interaction_points((2.0 ** -9, 2.0 ** -6, 2.0 ** -3, 2.0 ** -1), 2.0)
-    assert points.point(1, 2) < points.point(2, 3) < points.point(3, 4)
-    assert points.point(1, 2) < points.point(1, 3) < points.point(1, 4)
+    assert points[(1, 2)] < points[(2, 3)] < points[(3, 4)]
+    assert points[(1, 2)] < points[(1, 3)] < points[(1, 4)]
 
 
 def test_mesh_arrays_are_read_only():

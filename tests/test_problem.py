@@ -232,6 +232,26 @@ def test_load_problem_reads_scalar_entries(tmp_path):
     assert spec == cases.steady_scalar()
 
 
+# Each edit loaded before strings were rejected: a string is a sequence, so
+# it was read one character at a time as digits.
+STRING_EDITS = [
+    ("constant_two_scale", "u0", "00"),
+    ("constant_two_scale", "f", ["12", 2.0]),
+    ("constant_two_scale", "A", [["3", [-1.0]], [-1.0, "30"]]),
+    ("steady_scalar", "eps", "1"),
+    ("constant_two_scale", "T", "1.0"),
+]
+
+
+@pytest.mark.parametrize("case,key,value", STRING_EDITS,
+                         ids=[edit[1] for edit in STRING_EDITS])
+def test_strings_rejected_where_numbers_expected(case, key, value):
+    data = problem_to_dict(getattr(cases, case)())
+    data[key] = value
+    with pytest.raises(ProblemFormatError, match="must be a number"):
+        problem_from_dict(data)
+
+
 def test_load_problem_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{", encoding="utf-8")

@@ -9,7 +9,6 @@ import cases
 from layerode import (
     ShishkinMesh,
     SolveFailureError,
-    apply_operator,
     build_mesh,
     certify_max_principle,
     certify_stability,
@@ -123,29 +122,14 @@ def test_decomposition_initial_split():
     assert np.array_equal(parts.singular.values[:, 0], np.array(vp.spec.u0) - v0)
 
 
-@pytest.mark.parametrize("name,spec", cases.suite())
-def test_operator_identity_recovers_forcing(name, spec):
-    vp = _validated(spec)
-    mesh = build_mesh(vp, 32)
-    grid = march(vp, mesh, vp.spec.u0)
-    recovered = apply_operator(vp, grid)
-    forcing = sample_f(vp.spec, mesh.points[1:]).T
-    scale = (
-        vp.spec.eps.as_array()[:, None] / mesh.deltas * np.abs(grid.values[:, :-1])
-    ) + np.abs(forcing)
-    assert (np.abs(recovered - forcing) <= 1e-12 * (1.0 + scale)).all()
-
-
-def test_operator_identity_homogeneous_part():
+def test_layer_part_marches_the_homogeneous_system():
     vp = _validated(cases.layer_two_scale())
     mesh = build_mesh(vp, 32)
-    parts = decompose(vp, mesh)
-    recovered = apply_operator(vp, parts.singular)
-    scale = 1.0 + (
-        vp.spec.eps.as_array()[:, None] / mesh.deltas
-        * np.abs(parts.singular.values[:, :-1])
-    )
-    assert (np.abs(recovered) <= 1e-12 * scale).all()
+    singular = decompose(vp, mesh).singular
+    assert singular.forced is False
+    reference = _per_step_march(vp, mesh, singular.values[:, 0], forced=False)
+    scale = max(1.0, np.abs(reference).max())
+    assert np.abs(singular.values - reference).max() <= 1e-12 * scale
 
 
 def test_homogeneous_norms_never_grow():
@@ -233,23 +217,24 @@ def test_march_rejects_bad_initial_value():
         march(vp, mesh, (float("nan"),))
 
 
-def test_zero_residual_tolerance_trips_the_guard():
+def test_zero_residual_tolerance_trips_the_guard(monkeypatch):
+    monkeypatch.setattr("layerode.solver.STEP_RESIDUAL_RTOL", 0.0)
     vp = _validated(cases.constant_two_scale())
     mesh = build_mesh(vp, 16)
     with pytest.raises(SolveFailureError):
-        march(vp, mesh, vp.spec.u0, residual_rtol=0.0)
+        march(vp, mesh, vp.spec.u0)
     # Step 1 already has a rounding-level residual here; the guard checks
     # every step and names the first that fails.
     mesh = build_mesh(vp, 64)
     with pytest.raises(SolveFailureError, match=r"^step 1 solve residual"):
-        march(vp, mesh, vp.spec.u0, residual_rtol=0.0)
+        march(vp, mesh, vp.spec.u0)
 
 
 @pytest.mark.parametrize("name, spec", [
     ("constant_two_scale", cases.constant_two_scale()),
     ("variable_three_scale", cases.variable_three_scale()),
 ])
-def test_residual_guard_tolerance_scale(name, spec):
+def test_residual_guard_tolerance_scale(name, spec, monkeypatch):
     # worst max_j |M_j U_j - b_j| / (1 + |b_j|) of a marched grid, recomputed
     # step by step; the guard must trip a decade below it and pass a decade
     # above it, which pins the scale of the tolerance
@@ -265,9 +250,11 @@ def test_residual_guard_tolerance_scale(name, spec):
         residual = np.abs(m[j] @ values[j + 1] - b).max()
         ratio = max(ratio, residual / (1.0 + np.abs(b).max()))
     assert ratio > 0.0
+    monkeypatch.setattr("layerode.solver.STEP_RESIDUAL_RTOL", ratio / 10.0)
     with pytest.raises(SolveFailureError):
-        march(vp, mesh, vp.spec.u0, residual_rtol=ratio / 10.0)
-    march(vp, mesh, vp.spec.u0, residual_rtol=ratio * 10.0)
+        march(vp, mesh, vp.spec.u0)
+    monkeypatch.setattr("layerode.solver.STEP_RESIDUAL_RTOL", ratio * 10.0)
+    march(vp, mesh, vp.spec.u0)
 
 
 def test_solution_values_are_read_only():
