@@ -32,12 +32,8 @@ from .mesh import (
     bisect_mesh,
     build_mesh,
     interaction_points,
-    interval_counts,
-    piecewise_uniform_mesh,
-    transition_points,
 )
 from .problem import (
-    PerturbationVector,
     ProblemFormatError,
     ProblemSpec,
     ProblemValidationError,

@@ -104,7 +104,7 @@ def exact_constant_solution(spec, ts):
         raise ValueError("times must be nonnegative")
     a = sample_A(spec, 0.0)[0]
     steady = np.linalg.solve(a, sample_f(spec, 0.0)[0])
-    exps = matrix_exponential(-ts[:, None, None] * (a / spec.eps.as_array()[:, None]))
+    exps = matrix_exponential(-ts[:, None, None] * (a / np.asarray(spec.eps)[:, None]))
     return steady + exps @ (np.asarray(spec.u0, dtype=float) - steady)
 
 
@@ -115,7 +115,7 @@ def exact_error(grid, vp):
     closed form here, measure them with the two-grid difference instead.
     """
     exact = exact_constant_solution(vp.spec, grid.mesh.points)
-    return float(np.abs(grid.values - exact.T).max())
+    return float(np.abs(grid.values - exact).max())
 
 
 def two_mesh_difference(coarse, fine):
@@ -133,7 +133,7 @@ def two_mesh_difference(coarse, fine):
         raise MeshNestingError(
             "fine mesh does not contain the coarse points (offset %.3e)" % gap
         )
-    return float(np.abs(coarse.values - fine.values[:, ::2]).max())
+    return float(np.abs(coarse.values - fine.values[::2]).max())
 
 
 @dataclass(frozen=True)
@@ -181,8 +181,8 @@ def convergence_study(vp, n_values, mode):
 
     exact_oracle mode measures against the constant-coefficient closed
     form (exact_constant_solution, which raises OracleUnavailableError when
-    the coefficients vary in time). two_mesh mode solves each mesh and its bisection and differences
-    the two grids at the shared points.
+    the coefficients vary in time). two_mesh mode solves each mesh and its
+    bisection and differences the two grids at the shared points.
     """
     n_values = [int(v) for v in n_values]
     if not n_values:

@@ -170,12 +170,12 @@ def _cmd_solve(args):
             "# stability_ok = %s" % ("true" if stability.ok else "false"),
         ]
     header = ["j", "t_j"] + ["U_%d" % (i + 1) for i in range(n)]
-    columns = [np.arange(mesh.N + 1), mesh.points, grid.values.T]
+    columns = [np.arange(mesh.N + 1), mesh.points, grid.values]
     if args.decompose:
         parts = decompose(vp, mesh)
         header += ["V_%d" % (i + 1) for i in range(n)]
         header += ["W_%d" % (i + 1) for i in range(n)]
-        columns += [parts.smooth.values.T, parts.singular.values.T]
+        columns += [parts.smooth.values, parts.singular.values]
     lines.append(_csv_line(header))
     lines += _table_lines(np.column_stack(columns))
     _emit(lines, args.out)

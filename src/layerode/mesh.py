@@ -1,10 +1,13 @@
 """Piecewise-uniform meshes condensing points inside nested initial layers.
 
-The mesh on [0, T] is a union of n+1 uniform pieces joined at transition
-points. Transitions are placed from the slowest scale downward: each either
-halves its successor or stops at the layer width (eps_i / alpha) ln N,
-whichever is smaller. The construction therefore produces one of 2^n shapes,
-recorded as one branch bit per transition.
+build_mesh is the one constructor. It takes a ValidatedProblem, whose eps,
+alpha and T are already checked, and a run size N. The mesh on [0, T] is a
+union of n+1 uniform pieces joined at transition points. Transitions are
+placed from the slowest scale downward: each either halves its successor or
+stops at the layer width (eps_i / alpha) ln N, whichever is smaller. The
+construction therefore produces one of 2^n shapes, recorded as one branch
+bit per transition. bisect_mesh refines a mesh for two-mesh differences, and
+interaction_points gives the crossing times of the layer envelopes.
 """
 
 from __future__ import annotations
@@ -14,14 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import PerturbationVector
-
 __all__ = [
     "MeshError",
     "ShishkinMesh",
-    "transition_points",
-    "interval_counts",
-    "piecewise_uniform_mesh",
     "build_mesh",
     "bisect_mesh",
     "interaction_points",
@@ -65,27 +63,23 @@ def _require_valid_N(N, n):
     block = 2 ** n
     if N < 2 or N % block != 0:
         raise MeshError(
-            "N=%d is unusable with %d scale(s); choose N = %d*k with k a positive power of 2"
+            "N=%d is unusable with %d scale(s); choose N = %d*k with k a positive integer"
             % (N, n, block)
         )
     return N
 
 
-def transition_points(eps, alpha, T, N):
-    """Transition points and branch bits for the given run size.
+def build_mesh(vp, N):
+    """Mesh with N intervals for a validated problem, using its extracted alpha.
 
     sigma_n = min(T/2, (eps_n/alpha) ln N), and going downward
     sigma_i = min(sigma_{i+1}/2, (eps_i/alpha) ln N). Bit b_i = 0 records the
     halving branch (ties count as halving), b_i = 1 the layer-width branch.
+    The n+1 uniform pieces get N/2^n, N/2^(n-i+1) (i = 1 .. n-1) and N/2
+    intervals. N must be a multiple of 2^n; anything else raises MeshError.
     """
-    eps = PerturbationVector(tuple(eps))
-    alpha = float(alpha)
-    T = float(T)
-    if alpha <= 0.0 or not math.isfinite(alpha):
-        raise MeshError(f"alpha must be positive and finite, got {alpha!r}")
-    if T <= 0.0 or not math.isfinite(T):
-        raise MeshError(f"T must be positive and finite, got {T!r}")
-    n = eps.n
+    eps, alpha, T = vp.spec.eps, vp.alpha, vp.spec.T
+    n = len(eps)
     N = _require_valid_N(N, n)
     log_n = math.log(N)
     sigmas = [0.0] * n
@@ -101,27 +95,8 @@ def transition_points(eps, alpha, T, N):
             sigmas[i] = width
             bits[i] = 1
         upper = sigmas[i]
-    return tuple(sigmas), tuple(bits)
-
-
-def interval_counts(N, n):
-    """Interval counts of the n+1 uniform pieces: N/2^n, N/2^(n-i+1), .., N/2."""
-    counts = [N // 2 ** n]
-    counts.extend(N // 2 ** (n - i + 1) for i in range(1, n))
-    counts.append(N // 2)
-    return tuple(counts)
-
-
-def piecewise_uniform_mesh(eps, alpha, T, N):
-    """Assemble the mesh: n+1 uniform pieces joined at the transition points."""
-    eps = PerturbationVector(tuple(eps))
-    T = float(T)
-    alpha = float(alpha)
-    sigmas, bits = transition_points(eps, alpha, T, N)
-    N = int(N)
-    n = eps.n
-    counts = interval_counts(N, n)
-    bounds = (0.0,) + sigmas + (T,)
+    counts = [N // 2 ** n] + [N // 2 ** (n - i + 1) for i in range(1, n)] + [N // 2]
+    bounds = (0.0, *sigmas, T)
     pieces = [
         np.linspace(bounds[k], bounds[k + 1], counts[k] + 1) for k in range(n + 1)
     ]
@@ -129,14 +104,16 @@ def piecewise_uniform_mesh(eps, alpha, T, N):
     deltas = np.diff(points)
     points.setflags(write=False)
     deltas.setflags(write=False)
-    mesh = ShishkinMesh(N=N, points=points, deltas=deltas, sigmas=sigmas, b=bits)
-    _verify_geometry(mesh, eps, alpha, T, counts)
+    mesh = ShishkinMesh(N=N, points=points, deltas=deltas, sigmas=tuple(sigmas),
+                        b=tuple(bits))
+    _verify_geometry(mesh, vp, counts)
     return mesh
 
 
-def _verify_geometry(mesh, eps, alpha, T, counts):
+def _verify_geometry(mesh, vp, counts):
     # Construction guarantees all of this; check anyway, a broken mesh would
     # silently poison every downstream error estimate.
+    eps, alpha, T = vp.spec.eps, vp.alpha, vp.spec.T
     points = mesh.points
     if sum(counts) != mesh.N or points.shape != (mesh.N + 1,):
         raise MeshError("interval counts do not add up to N=%d" % mesh.N)
@@ -158,11 +135,6 @@ def _verify_geometry(mesh, eps, alpha, T, counts):
         raise MeshError("last transition point exceeds T/2")
 
 
-def build_mesh(vp, N):
-    """Mesh for a validated problem, using its extracted alpha."""
-    return piecewise_uniform_mesh(vp.spec.eps, vp.alpha, vp.spec.T, N)
-
-
 def bisect_mesh(mesh):
     """Insert the midpoint of every interval, keeping the transition points.
 
@@ -182,19 +154,17 @@ def bisect_mesh(mesh):
     )
 
 
-def interaction_points(eps, alpha):
+def interaction_points(vp):
     """Crossing times of the scaled layer envelopes as a dict {(i, j): t}.
 
     Keys are 1-based pairs i < j; t = ln(eps_j/eps_i) / (alpha (1/eps_i -
     1/eps_j)) is where exp(-alpha t / eps_i) / eps_i meets
-    exp(-alpha t / eps_j) / eps_j. Every time must be positive and the
-    times must increase in both indices; either failing raises MeshError.
+    exp(-alpha t / eps_j) / eps_j, with the problem's eps and extracted
+    alpha. Every time must be positive and the times must increase in both
+    indices; either failing raises MeshError.
     """
-    eps = PerturbationVector(tuple(eps))
-    alpha = float(alpha)
-    if alpha <= 0.0 or not math.isfinite(alpha):
-        raise MeshError(f"alpha must be positive and finite, got {alpha!r}")
-    n = eps.n
+    eps, alpha = vp.spec.eps, vp.alpha
+    n = len(eps)
     values = {}
     for i in range(n):
         for j in range(i + 1, n):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -23,7 +24,6 @@ __all__ = [
     "MAX_POLY_DEGREE",
     "ProblemFormatError",
     "ProblemValidationError",
-    "PerturbationVector",
     "ProblemSpec",
     "ValidatedProblem",
     "validate",
@@ -99,57 +99,50 @@ def _coeffs(entry):
     return coeffs or (0.0,)
 
 
-@dataclass(frozen=True)
-class PerturbationVector:
-    """Strictly increasing perturbation parameters, each in (0, 1]."""
+def _eps(values):
+    """Perturbation parameters as a tuple of floats: at least one, each in
+    (0, 1], strictly increasing."""
+    try:
+        eps = tuple(_number(e, "perturbation parameter") for e in values)
+    except TypeError as exc:
+        raise ProblemFormatError(
+            f"perturbation parameters must be a sequence of numbers, got {values!r}"
+        ) from exc
+    if not eps:
+        raise ProblemFormatError("at least one perturbation parameter is required")
+    for i, e in enumerate(eps):
+        if not math.isfinite(e) or not (0.0 < e <= 1.0):
+            raise ProblemValidationError(
+                "eps-range",
+                f"perturbation parameter {i + 1} is {e!r}, expected a value in (0, 1]",
+            )
+    for i in range(len(eps) - 1):
+        if eps[i] == eps[i + 1]:
+            raise ProblemValidationError(
+                "eps-coincident",
+                "perturbation parameters %d and %d coincide (%r); scales must be distinct"
+                % (i + 1, i + 2, eps[i]),
+            )
+        if eps[i] > eps[i + 1]:
+            raise ProblemValidationError(
+                "eps-ordering",
+                "perturbation parameters must increase strictly, got %r before %r"
+                % (eps[i], eps[i + 1]),
+            )
+    return eps
 
-    eps: tuple
 
-    def __post_init__(self):
-        try:
-            eps = tuple(_number(e, "perturbation parameter") for e in self.eps)
-        except TypeError as exc:
-            raise ProblemFormatError(
-                f"perturbation parameters must be a sequence of numbers, got {self.eps!r}"
-            ) from exc
-        if not eps:
-            raise ProblemFormatError("at least one perturbation parameter is required")
-        object.__setattr__(self, "eps", eps)
-        for i, e in enumerate(eps):
-            if not math.isfinite(e) or not (0.0 < e <= 1.0):
-                raise ProblemValidationError(
-                    "eps-range",
-                    f"perturbation parameter {i + 1} is {e!r}, expected a value in (0, 1]",
-                )
-        for i in range(len(eps) - 1):
-            if eps[i] == eps[i + 1]:
-                raise ProblemValidationError(
-                    "eps-coincident",
-                    "perturbation parameters %d and %d coincide (%r); scales must be distinct"
-                    % (i + 1, i + 2, eps[i]),
-                )
-            if eps[i] > eps[i + 1]:
-                raise ProblemValidationError(
-                    "eps-ordering",
-                    "perturbation parameters must increase strictly, got %r before %r"
-                    % (eps[i], eps[i + 1]),
-                )
-
-    @property
-    def n(self):
-        return len(self.eps)
-
-    def as_array(self):
-        return np.asarray(self.eps, dtype=float)
-
-    def __iter__(self):
-        return iter(self.eps)
-
-    def __getitem__(self, i):
-        return self.eps[i]
-
-    def __len__(self):
-        return len(self.eps)
+def _size(value):
+    """System size n: an integral number of at least 1. Strings, bools and
+    fractions are rejected rather than converted."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, bool) or not integral:
+        raise ProblemFormatError(f"system size n must be an integer, got {value!r}")
+    if value < 1:
+        raise ProblemFormatError("system size n must be at least 1")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -158,6 +151,7 @@ class ProblemSpec:
 
     A is an n x n tuple and f an n-tuple of coefficient tuples, one per
     polynomial entry (see _coeffs); sample_A and sample_f evaluate them.
+    eps is a tuple of floats (see _eps).
     """
 
     n: int
@@ -165,16 +159,14 @@ class ProblemSpec:
     f: tuple
     u0: tuple
     T: float
-    eps: PerturbationVector
+    eps: tuple
 
     def __post_init__(self):
-        n = int(self.n)
-        if n < 1:
-            raise ProblemFormatError("system size n must be at least 1")
+        n = _size(self.n)
         A = tuple(tuple(_coeffs(p) for p in row) for row in self.A)
         f = tuple(_coeffs(p) for p in self.f)
         u0 = tuple(_finite(v, "initial value") for v in self.u0)
-        eps = PerturbationVector(tuple(self.eps))
+        eps = _eps(self.eps)
         T = _finite(self.T, "horizon T")
         if len(A) != n or any(len(row) != n for row in A):
             raise ProblemFormatError(f"coefficient matrix must be {n}x{n}")
@@ -182,9 +174,9 @@ class ProblemSpec:
             raise ProblemFormatError(f"forcing must have {n} components")
         if len(u0) != n:
             raise ProblemFormatError(f"initial value must have {n} components")
-        if eps.n != n:
+        if len(eps) != n:
             raise ProblemFormatError(
-                f"expected {n} perturbation parameters, got {eps.n}"
+                f"expected {n} perturbation parameters, got {len(eps)}"
             )
         if T <= 0.0:
             raise ProblemFormatError("horizon T must be positive")
@@ -329,12 +321,8 @@ def problem_from_dict(data):
     if missing:
         raise ProblemFormatError("missing problem key(s): %s" % ", ".join(missing))
     try:
-        n = int(data["n"])
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"key 'n' must be an integer, got {data['n']!r}") from exc
-    try:
         return ProblemSpec(
-            n=n,
+            n=data["n"],
             A=data["A"],
             f=data["f"],
             u0=data["u0"],

@@ -51,7 +51,8 @@ class SolveFailureError(RuntimeError):
 class SolutionGrid:
     """Discrete solution bound to the mesh it was computed on.
 
-    values[i, j] is component i at mesh point t_j. forced says which system
+    values[j, i] is component i at mesh point t_j: shape (N+1, n), time-major
+    like sample_A and sample_f, and read-only. forced says which system
     was marched: True for the problem forcing f (a full solve or the smooth
     part), False for the homogeneous system (the layer part), whose
     right-hand side the certificates then take as zero.
@@ -63,7 +64,7 @@ class SolutionGrid:
 
     @property
     def n(self):
-        return self.values.shape[0]
+        return self.values.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +92,7 @@ def step_matrices(vp, mesh):
     """
     m = sample_A(vp.spec, mesh.points[1:])
     idx = np.arange(vp.spec.n)
-    m[:, idx, idx] += vp.spec.eps.as_array() / mesh.deltas[:, None]
+    m[:, idx, idx] += np.asarray(vp.spec.eps) / mesh.deltas[:, None]
     return m
 
 
@@ -158,7 +159,7 @@ def march(vp, mesh, u_init, forced=True):
     if u.shape != (n,) or not np.isfinite(u).all():
         raise ValueError("initial value must be a finite vector of length %d" % n)
 
-    ed = spec.eps.as_array() / mesh.deltas[:, None]
+    ed = np.asarray(spec.eps) / mesh.deltas[:, None]
     m = step_matrices(vp, mesh)
     f = sample_f(spec, mesh.points[1:]) if forced else None
     values = _affine_recurrence(np.linalg.inv(m), ed, f, u)
@@ -175,7 +176,6 @@ def march(vp, mesh, u_init, forced=True):
         )
     if not np.isfinite(values).all():
         raise SolveFailureError("non-finite values in the computed grid")
-    values = np.ascontiguousarray(values.T)
     values.setflags(write=False)
     return SolutionGrid(mesh=mesh, values=values, forced=forced)
 
@@ -217,7 +217,7 @@ def certify_max_principle(vp, grid):
     not hold the implication being certified is empty and the certificate
     returns True vacuously.
     """
-    if (grid.values[:, 0] < 0.0).any():
+    if (grid.values[0] < 0.0).any():
         return True
     if (_rhs_values(vp, grid) < 0.0).any():
         return True
@@ -228,7 +228,7 @@ def certify_max_principle(vp, grid):
 def certify_stability(vp, grid):
     """Maximum-norm certificate: every grid value obeys
     max_j ||U(t_j)|| <= max(||U(0)||, max_j ||rhs(t_j)|| / alpha)."""
-    initial_norm = float(np.abs(grid.values[:, 0]).max())
+    initial_norm = float(np.abs(grid.values[0]).max())
     rhs = _rhs_values(vp, grid)
     rhs_norm = float(np.abs(rhs).max()) if rhs.size else 0.0
     bound = max(initial_norm, rhs_norm / vp.alpha)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from layerode import PerturbationVector, ProblemSpec
+from layerode import ProblemSpec, validate
 
 
 def poly(*coeffs):
@@ -82,6 +82,18 @@ def variable_three_scale(eps=(2.0 ** -8, 2.0 ** -4, 1.0)):
     )
 
 
+def scaled_identity(eps, alpha, T):
+    """Validated problem E u' + alpha u = 0 with u(0) = 1 per component.
+
+    A = alpha I has every row sum equal to alpha, so the extracted alpha is
+    exactly the given one; the mesh depends only on eps, alpha, T and N.
+    """
+    n = len(eps)
+    A = constant_matrix([[alpha if i == j else 0.0 for j in range(n)] for i in range(n)])
+    return validate(ProblemSpec(n=n, A=A, f=(poly(0.0),) * n, u0=(1.0,) * n,
+                                T=T, eps=eps))
+
+
 def suite():
     """Representative named problems used by the cross-cutting checks."""
     return [
@@ -136,13 +148,18 @@ def random_nonneg_problem(rng, n_max=6):
 
 
 def random_mesh_draw(rng, n_max=6):
-    """Inputs for a mesh build: eps, alpha, T and an admissible N."""
+    """Inputs for a mesh build: a validated scaled_identity problem and an
+    admissible N.
+
+    A horizon drawn below 2 eps_n / alpha, which validation rejects, is
+    raised to that floor; the draw consumes the generator all the same.
+    """
     n = int(rng.integers(1, n_max + 1))
-    eps = PerturbationVector(random_eps(rng, n))
+    eps = random_eps(rng, n)
     alpha = float(rng.uniform(0.3, 5.0))
-    T = float(rng.uniform(0.5, 3.0))
+    T = max(float(rng.uniform(0.5, 3.0)), 2.0 * eps[-1] / alpha)
     N = 2 ** n * int(rng.integers(1, 17))
-    return eps, alpha, T, N
+    return scaled_identity(eps, alpha, T), N
 
 
 def random_separated_eps(rng, n):

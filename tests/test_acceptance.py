@@ -24,9 +24,7 @@ from layerode import (
     default_eps_grid,
     exact_error,
     interaction_points,
-    interval_counts,
     march,
-    piecewise_uniform_mesh,
     solve,
     uniform_sweep,
     validate,
@@ -135,11 +133,15 @@ def test_criterion_7_mesh_invariants():
     rng = np.random.default_rng(707)
     failures = 0
     for _ in range(1000):
-        eps, alpha, T, N = cases.random_mesh_draw(rng)
-        mesh = piecewise_uniform_mesh(eps, alpha, T, N)
+        vp, N = cases.random_mesh_draw(rng)
+        eps, alpha, T = vp.spec.eps, vp.alpha, vp.spec.T
+        mesh = build_mesh(vp, N)
         log_n = math.log(N)
         ok = (
-            sum(interval_counts(N, eps.n)) == N
+            mesh.points.shape == (N + 1,)
+            # sigma_i closes the piece that ends at index N/2^(n-i+1)
+            and all(mesh.points[N >> (len(eps) - i)] == s
+                    for i, s in enumerate(mesh.sigmas))
             and mesh.points[0] == 0.0
             and mesh.points[-1] == T
             and (np.diff(mesh.points) > 0.0).all()
@@ -147,7 +149,7 @@ def test_criterion_7_mesh_invariants():
             and all(s1 < s2 for s1, s2 in zip(mesh.sigmas, mesh.sigmas[1:]))
             and all(
                 sigma <= e / alpha * log_n * (1.0 + 1e-12)
-                for sigma, e in zip(mesh.sigmas, eps.eps)
+                for sigma, e in zip(mesh.sigmas, eps)
             )
             and mesh.sigmas[-1] <= 0.5 * T * (1.0 + 1e-12)
         )
@@ -164,7 +166,7 @@ def test_criterion_8_envelope_crossing_times():
         alpha = float(rng.uniform(0.5, 4.0))
         T = 2.0 / alpha * float(rng.uniform(1.0, 2.0))
         eps = cases.random_separated_eps(rng, n)
-        points = interaction_points(eps, alpha)
+        points = interaction_points(cases.scaled_identity(eps, alpha, T))
         ok = True
         for (i, j), t in points.items():
             ok &= 0.0 < t <= T
@@ -181,10 +183,10 @@ def test_criterion_9_layer_decay():
     mesh = build_mesh(vp, 128)
     parts = decompose(vp, mesh)
     envelope = np.exp(-vp.alpha * mesh.points / vp.spec.eps[-1])
-    fitted = (np.abs(parts.singular.values).max(axis=0) / envelope).max()
+    fitted = (np.abs(parts.singular.values).max(axis=1) / envelope).max()
     deep = validate(cases.layer_two_scale(eps=(2.0 ** -14, 2.0 ** -10)))
     deep_parts = decompose(deep, build_mesh(deep, 128))
-    tail = float(np.abs(deep_parts.singular.values[:, -1]).max())
+    tail = float(np.abs(deep_parts.singular.values[-1]).max())
     ok = mesh.b == (1, 1) and fitted <= 2.0 and tail <= 1e-6
     _criterion(9, "layer part decays under the slowest envelope", ok,
                "fitted C %.4f, tail %.2e" % (fitted, tail))
@@ -198,7 +200,7 @@ def test_criterion_10_oracle_cross_validation():
         coarse_mesh = build_mesh(vp, 2 ** 18)
         coarse = march(vp, coarse_mesh, vp.spec.u0)
         fine = march(vp, bisect_mesh(coarse_mesh), vp.spec.u0)
-        extrapolated = 2.0 * fine.values[:, ::2] - coarse.values
+        extrapolated = 2.0 * fine.values[::2] - coarse.values
         reference = SolutionGrid(mesh=coarse_mesh, values=extrapolated, forced=True)
         worst = max(worst, exact_error(reference, vp))
     ok = worst <= 1e-6

@@ -23,7 +23,6 @@ from layerode import (
     matrix_exponential,
     order_rows,
     solve,
-    transition_points,
     two_mesh_difference,
     uniform_sweep,
     validate,
@@ -32,9 +31,9 @@ from layerode import (
 
 def test_envelope_reaches_reciprocal_n_at_transition():
     eps, alpha, T, N = (1.0 / 64.0, 1.0 / 16.0), 1.0, 1.0, 64
-    sigmas, bits = transition_points(eps, alpha, T, N)
-    assert bits == (1, 1)
-    for i, sigma in enumerate(sigmas):
+    mesh = build_mesh(cases.scaled_identity(eps, alpha, T), N)
+    assert mesh.b == (1, 1)
+    for i, sigma in enumerate(mesh.sigmas):
         value = math.exp(-alpha * sigma / eps[i])
         assert value == pytest.approx(1.0 / N, rel=1e-12)
 

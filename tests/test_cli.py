@@ -102,6 +102,15 @@ def test_string_number_exits_2(tmp_path, capsys):
     assert "must be a number" in capsys.readouterr().err
 
 
+def test_fractional_system_size_exits_2(tmp_path, capsys):
+    data = problem_to_dict(cases.constant_two_scale())
+    data["n"] = 2.7
+    path = tmp_path / "fraction.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["validate", "--problem", str(path)]) == EXIT_PARSE
+    assert "system size n must be an integer, got 2.7" in capsys.readouterr().err
+
+
 def test_mesh_csv_round_trips_points(tmp_path, capsys):
     spec = cases.layer_two_scale()
     path = _write_problem(tmp_path, spec)
@@ -134,7 +143,7 @@ def test_solve_csv_matches_library(tmp_path, capsys):
     rows = _rows(out)
     assert rows[0] == ["j", "t_j", "U_1", "U_2"]
     grid = solve(validate(spec), 16)
-    values = np.array([[float(row[2]), float(row[3])] for row in rows[1:]]).T
+    values = np.array([[float(row[2]), float(row[3])] for row in rows[1:]])
     assert np.array_equal(values, grid.values)
 
 
@@ -277,7 +286,7 @@ def test_table_output_matches_per_row_formatter(problem, capsys):
     for j in range(N + 1):
         fields = [j, _fmt(mesh.points[j])]
         for values in (grid.values, parts.smooth.values, parts.singular.values):
-            fields += [_fmt(values[i, j]) for i in range(n)]
+            fields += [_fmt(values[j, i]) for i in range(n)]
         expected.append(_csv_line(fields))
     header = ",".join(["j", "t_j"] + ["%s_%d" % (part, i + 1)
                                       for part in "UVW" for i in range(n)])

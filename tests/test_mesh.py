@@ -11,72 +11,59 @@ from layerode import (
     bisect_mesh,
     build_mesh,
     interaction_points,
-    interval_counts,
-    piecewise_uniform_mesh,
-    transition_points,
     validate,
 )
 
 
-def test_transition_points_two_scales_layer_branch():
-    sigmas, bits = transition_points((1.0 / 64.0, 1.0 / 16.0), 1.0, 1.0, 64)
-    assert bits == (1, 1)
-    assert sigmas == pytest.approx(
+def test_sigmas_two_scales_layer_branch():
+    mesh = build_mesh(cases.scaled_identity((1.0 / 64.0, 1.0 / 16.0), 1.0, 1.0), 64)
+    assert mesh.b == (1, 1)
+    assert mesh.sigmas == pytest.approx(
         (0.06498254817749487, 0.25993019270997947), rel=1e-15
     )
 
 
-def test_transition_points_halving_branch():
+def test_sigmas_halving_branch():
     # eps so large that both transitions fall back to interval halving
-    sigmas, bits = transition_points((0.5, 1.0), 1.0, 1.0, 8)
-    assert bits == (0, 0)
-    assert sigmas == (0.25, 0.5)
+    mesh = build_mesh(cases.scaled_identity((0.5, 1.0), 2.0, 1.0), 8)
+    assert mesh.b == (0, 0)
+    assert mesh.sigmas == (0.25, 0.5)
 
 
 def test_mesh_reduces_to_uniform_when_halving():
-    mesh = piecewise_uniform_mesh((0.5, 1.0), 1.0, 1.0, 8)
+    mesh = build_mesh(cases.scaled_identity((0.5, 1.0), 2.0, 1.0), 8)
     assert np.allclose(mesh.points, np.linspace(0.0, 1.0, 9), rtol=0.0, atol=1e-15)
     assert np.allclose(mesh.deltas, 0.125, rtol=0.0, atol=1e-15)
 
 
 def test_smallest_scalar_mesh():
-    mesh = piecewise_uniform_mesh((1.0,), 1.0, 1.0, 2)
-    assert mesh.points.tolist() == [0.0, 0.5, 1.0]
-    assert mesh.b == (0,)
+    # At the horizon floor T = 2 eps/alpha, halving would need ln N >= 1,
+    # so N = 2 always takes the layer branch.
+    mesh = build_mesh(cases.scaled_identity((1.0,), 1.0, 2.0), 2)
+    assert mesh.points.tolist() == [0.0, math.log(2.0), 2.0]
+    assert mesh.b == (1,)
 
 
 def test_piece_widths_two_scales():
-    mesh = piecewise_uniform_mesh((1.0 / 64.0, 1.0 / 16.0), 1.0, 1.0, 64)
-    assert interval_counts(64, 2) == (16, 16, 32)
+    mesh = build_mesh(cases.scaled_identity((1.0 / 64.0, 1.0 / 16.0), 1.0, 1.0), 64)
+    # pieces of 16, 16 and 32 intervals
+    assert mesh.points[[16, 32]].tolist() == list(mesh.sigmas)
     assert mesh.deltas[0] == pytest.approx(0.004061409261093429, rel=1e-13)
     assert mesh.deltas[16] == pytest.approx(0.012184227783280287, rel=1e-13)
     assert mesh.deltas[32] == pytest.approx(0.02312718147781314, rel=1e-13)
 
 
-def test_interval_counts_sum_to_n():
-    for n in range(1, 7):
-        for k in (1, 2, 5, 8):
-            N = 2 ** n * k
-            assert sum(interval_counts(N, n)) == N
-
-
 def test_unusable_n_rejected():
+    with pytest.raises(MeshError, match="k a positive integer"):
+        build_mesh(cases.scaled_identity((0.25, 0.5), 1.0, 1.0), 6)
     with pytest.raises(MeshError):
-        piecewise_uniform_mesh((0.25, 0.5), 1.0, 1.0, 6)
-    with pytest.raises(MeshError):
-        piecewise_uniform_mesh((1.0,), 1.0, 1.0, 0)
-
-
-def test_bad_alpha_and_horizon_rejected():
-    with pytest.raises(MeshError):
-        transition_points((0.5,), 0.0, 1.0, 8)
-    with pytest.raises(MeshError):
-        transition_points((0.5,), 1.0, -1.0, 8)
+        build_mesh(cases.scaled_identity((1.0,), 1.0, 2.0), 0)
 
 
 def test_geometry_bounds_hold():
+    # N = 96 = 8 * 12: any multiple of 2^n is usable, not only powers of 2
     eps, alpha, T, N = (2.0 ** -10, 2.0 ** -4, 0.5), 1.5, 1.25, 96
-    mesh = piecewise_uniform_mesh(eps, alpha, T, N)
+    mesh = build_mesh(cases.scaled_identity(eps, alpha, T), N)
     assert mesh.points[0] == 0.0 and mesh.points[-1] == T
     assert (np.diff(mesh.points) > 0.0).all()
     assert mesh.deltas.max() <= 2.0 * T / N * (1.0 + 1e-12)
@@ -107,18 +94,19 @@ def test_bisection_is_nested_and_keeps_transitions():
 
 
 def test_crossing_time_closed_form():
-    points = interaction_points((1.0 / 64.0, 1.0 / 16.0), 1.0)
+    points = interaction_points(cases.scaled_identity((1.0 / 64.0, 1.0 / 16.0), 1.0, 1.0))
     assert points[(1, 2)] == pytest.approx(math.log(4.0) / 48.0, rel=1e-15)
 
 
 def test_crossing_times_increase_in_both_indices():
-    points = interaction_points((2.0 ** -9, 2.0 ** -6, 2.0 ** -3, 2.0 ** -1), 2.0)
+    eps = (2.0 ** -9, 2.0 ** -6, 2.0 ** -3, 2.0 ** -1)
+    points = interaction_points(cases.scaled_identity(eps, 2.0, 1.0))
     assert points[(1, 2)] < points[(2, 3)] < points[(3, 4)]
     assert points[(1, 2)] < points[(1, 3)] < points[(1, 4)]
 
 
 def test_mesh_arrays_are_read_only():
-    mesh = piecewise_uniform_mesh((0.5, 1.0), 1.0, 1.0, 8)
+    mesh = build_mesh(cases.scaled_identity((0.5, 1.0), 2.0, 1.0), 8)
     with pytest.raises(ValueError):
         mesh.points[0] = 1.0
     with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ from numpy.polynomial import polynomial as npoly
 
 import cases
 from layerode import (
-    PerturbationVector,
     ProblemFormatError,
     ProblemSpec,
     ProblemValidationError,
@@ -56,20 +55,20 @@ def test_polynomial_rejects_non_finite_coefficients():
 
 def test_eps_must_increase_strictly():
     with pytest.raises(ProblemValidationError) as err:
-        PerturbationVector((0.5, 0.25))
+        cases.constant_two_scale(eps=(0.5, 0.25))
     assert err.value.condition == "eps-ordering"
 
 
 def test_eps_coincident_rejected():
     with pytest.raises(ProblemValidationError) as err:
-        PerturbationVector((0.25, 0.25))
+        cases.constant_two_scale(eps=(0.25, 0.25))
     assert err.value.condition == "eps-coincident"
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5])
 def test_eps_out_of_range_rejected(bad):
     with pytest.raises(ProblemValidationError) as err:
-        PerturbationVector((bad,))
+        replace(cases.steady_scalar(), eps=(bad,))
     assert err.value.condition == "eps-range"
 
 
@@ -252,6 +251,31 @@ def test_strings_rejected_where_numbers_expected(case, key, value):
         problem_from_dict(data)
 
 
+@pytest.mark.parametrize("value", ["2", 2.7, True, None, [2]],
+                         ids=["string", "fraction", "bool", "null", "list"])
+def test_system_size_must_be_an_integer(value):
+    data = problem_to_dict(cases.constant_two_scale())
+    data["n"] = value
+    with pytest.raises(ProblemFormatError, match="system size n must be an integer"):
+        problem_from_dict(data)
+
+
+def test_integral_float_system_size_loads():
+    data = problem_to_dict(cases.constant_two_scale())
+    data["n"] = 2.0
+    spec = problem_from_dict(data)
+    assert spec.n == 2 and type(spec.n) is int
+    assert spec == cases.constant_two_scale()
+
+
+def test_eps_is_a_tuple_of_floats():
+    data = problem_to_dict(cases.constant_two_scale())
+    data["eps"] = [2 ** -4, 1]
+    spec = problem_from_dict(data)
+    assert spec.eps == (0.0625, 1.0)
+    assert all(type(e) is float for e in spec.eps)
+
+
 def test_load_problem_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{", encoding="utf-8")
@@ -262,5 +286,5 @@ def test_load_problem_rejects_bad_json(tmp_path):
 def test_with_eps_replaces_only_parameters():
     spec = cases.constant_two_scale()
     moved = spec.with_eps((0.125, 0.5))
-    assert moved.eps[0] == 0.125
+    assert moved.eps == (0.125, 0.5)
     assert moved.A == spec.A and moved.T == spec.T

@@ -35,7 +35,7 @@ def test_scalar_decay_hand_values():
     assert np.allclose(mesh.deltas, 0.5, rtol=0.0, atol=0.0)
     grid = march(vp, mesh, vp.spec.u0)
     expected = [1.0, 2.0 / 3.0, 4.0 / 9.0, 8.0 / 27.0, 16.0 / 81.0]
-    assert grid.values[0].tolist() == pytest.approx(expected, rel=1e-15)
+    assert grid.values[:, 0].tolist() == pytest.approx(expected, rel=1e-15)
 
 
 def test_steady_state_is_reproduced_exactly():
@@ -77,16 +77,16 @@ def test_random_step_matrices_are_m_matrices():
 def _per_step_march(vp, mesh, u_init, forced):
     # Reference: one dense solve per step, in mesh order.
     spec = vp.spec
-    eps = spec.eps.as_array()
+    eps = np.asarray(spec.eps)
     u = np.array(u_init, dtype=float)
-    columns = [u]
+    rows = [u]
     for j in range(1, mesh.N + 1):
         t = float(mesh.points[j])
         ed = eps / mesh.deltas[j - 1]
         b = ed * u + (sample_f(spec, t)[0] if forced else 0.0)
         u = np.linalg.solve(sample_A(spec, t)[0] + np.diag(ed), b)
-        columns.append(u)
-    return np.array(columns).T
+        rows.append(u)
+    return np.array(rows)
 
 
 @pytest.mark.parametrize("name,spec", cases.suite())
@@ -118,8 +118,8 @@ def test_decomposition_initial_split():
     vp = _validated(cases.constant_two_scale())
     parts = decompose(vp, build_mesh(vp, 16))
     v0 = np.linalg.solve(sample_A(vp.spec, 0.0)[0], sample_f(vp.spec, 0.0)[0])
-    assert np.array_equal(parts.smooth.values[:, 0], v0)
-    assert np.array_equal(parts.singular.values[:, 0], np.array(vp.spec.u0) - v0)
+    assert np.array_equal(parts.smooth.values[0], v0)
+    assert np.array_equal(parts.singular.values[0], np.array(vp.spec.u0) - v0)
 
 
 def test_layer_part_marches_the_homogeneous_system():
@@ -127,7 +127,7 @@ def test_layer_part_marches_the_homogeneous_system():
     mesh = build_mesh(vp, 32)
     singular = decompose(vp, mesh).singular
     assert singular.forced is False
-    reference = _per_step_march(vp, mesh, singular.values[:, 0], forced=False)
+    reference = _per_step_march(vp, mesh, singular.values[0], forced=False)
     scale = max(1.0, np.abs(reference).max())
     assert np.abs(singular.values - reference).max() <= 1e-12 * scale
 
@@ -135,7 +135,7 @@ def test_layer_part_marches_the_homogeneous_system():
 def test_homogeneous_norms_never_grow():
     vp = _validated(cases.layer_two_scale())
     grid = solve(vp, 128)
-    norms = np.abs(grid.values).max(axis=0)
+    norms = np.abs(grid.values).max(axis=1)
     assert (norms[1:] <= norms[:-1] + 1e-15).all()
     assert norms[0] == 1.0
     assert norms[-1] < 0.01
@@ -240,10 +240,10 @@ def test_residual_guard_tolerance_scale(name, spec, monkeypatch):
     # above it, which pins the scale of the tolerance
     vp = _validated(spec)
     mesh = build_mesh(vp, 64)
-    values = march(vp, mesh, vp.spec.u0).values.T
+    values = march(vp, mesh, vp.spec.u0).values
     m = step_matrices(vp, mesh)
     f = sample_f(vp.spec, mesh.points[1:])
-    eps = vp.spec.eps.as_array()
+    eps = np.asarray(vp.spec.eps)
     ratio = 0.0
     for j in range(mesh.N):
         b = eps / mesh.deltas[j] * values[j] + f[j]
@@ -262,3 +262,14 @@ def test_solution_values_are_read_only():
     grid = solve(vp, 4)
     with pytest.raises(ValueError):
         grid.values[0, 0] = 5.0
+
+
+def test_grid_values_are_time_major():
+    # values[j] is U at t_j, laid out like sample_A and sample_f
+    vp = _validated(cases.variable_three_scale())
+    mesh = build_mesh(vp, 16)
+    u_init = np.array([1.0, 2.0, 3.0])
+    values = march(vp, mesh, u_init).values
+    assert values.shape == (17, 3)
+    assert values.flags.c_contiguous and not values.flags.writeable
+    assert np.array_equal(values[0], u_init)
