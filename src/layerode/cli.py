@@ -113,6 +113,16 @@ def _eps_grid_arg(text):
         raise argparse.ArgumentTypeError(f"not an eps grid: {text}") from exc
 
 
+def _band_arg(text):
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text}") from exc
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"band must be a finite number: {text}")
+    return value
+
+
 def _mode_value(text):
     return MODE_EXACT if text == "exact" else MODE_TWO_MESH
 
@@ -297,7 +307,7 @@ def _build_parser():
     p.add_argument("--mode", choices=("exact", "two_mesh"), default="two_mesh",
                    help="error measure (default %(default)s)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--min-p", type=float, default=None,
+    p.add_argument("--min-p", type=_band_arg, default=None,
                    help="exit 5 if the smallest observed order is below this")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_converge)
@@ -313,7 +323,7 @@ def _build_parser():
     # Accepted and ignored: sweeps run in one process.
     p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--min-p-uniform", type=float, default=None,
+    p.add_argument("--min-p-uniform", type=_band_arg, default=None,
                    help="exit 5 if the smallest robust order is below this")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_sweep)

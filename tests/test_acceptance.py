@@ -194,8 +194,10 @@ def test_criterion_9_layer_decay():
 
 def test_criterion_10_oracle_cross_validation():
     worst = 0.0
+    # the last entry is the default grid's widest ratio, 2^-10 at 2^-18
     for spec in (cases.constant_two_scale(eps=(2.0 ** -9, 2.0 ** -3)),
-                 cases.decoupled_identity()):
+                 cases.decoupled_identity(),
+                 cases.constant_two_scale(eps=(2.0 ** -28, 2.0 ** -18))):
         vp = validate(spec)
         coarse_mesh = build_mesh(vp, 2 ** 18)
         coarse = march(vp, coarse_mesh, vp.spec.u0)

@@ -258,6 +258,21 @@ def test_sweep_band_gate(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("converge", "--min-p"),
+    ("sweep", "--min-p-uniform"),
+])
+@pytest.mark.parametrize("band", ["nan", "inf", "-inf"])
+def test_non_finite_band_is_rejected(tmp_path, capsys, command, flag, band):
+    # every order compares False against nan, which would let the gate pass
+    path = _write_problem(tmp_path, cases.constant_two_scale())
+    args = [command, "--problem", path, "--N", "16,32", "%s=%s" % (flag, band)]
+    assert main(args) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "band must be a finite number: %s" % band in captured.err
+
+
 def _table_tail(text, header):
     # Lines after the column header; comment and header lines are left out.
     lines = text.split("\n")

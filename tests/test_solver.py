@@ -103,6 +103,81 @@ def test_march_matches_per_step_solves(name, spec, N, forced):
     assert np.abs(grid.values - reference).max() <= 1e-12 * scale
 
 
+# Mesh sizes against the blocked scan's blocks of isqrt(N) steps: blocks of
+# one step (2), B dividing N (8 = 4 blocks of 2, and 12, no power of two),
+# and blocks with steps left over (96 = 10 blocks of 9 and 6, 1032 = 32
+# blocks of 32 and 8).
+BLOCK_CASES = [
+    (name, spec, N)
+    for name, spec in cases.suite()
+    for N in (2, 8, 12, 96, 1032)
+    if N % 2 ** spec.n == 0
+]
+
+
+@pytest.mark.parametrize("name,spec,N", BLOCK_CASES)
+@pytest.mark.parametrize("forced", [True, False], ids=["given_f", "zero_f"])
+def test_march_matches_per_step_solves_across_blocks(name, spec, N, forced):
+    vp = _validated(spec)
+    mesh = build_mesh(vp, N)
+    u_init = np.asarray(spec.u0) + 1.0
+    values = march(vp, mesh, u_init, forced).values
+    reference = _per_step_march(vp, mesh, u_init, forced)
+    scale = max(1.0, np.abs(reference).max())
+    assert np.abs(values - reference).max() <= 1e-12 * scale
+
+
+def test_march_matches_per_step_solves_at_random_sizes():
+    rng = np.random.default_rng(4177)
+    for _ in range(12):
+        spec = cases.random_nonneg_problem(rng)
+        vp = _validated(spec)
+        N = 2 ** spec.n * int(rng.integers(1, 300 // 2 ** spec.n + 1))
+        mesh = build_mesh(vp, N)
+        for forced in (True, False):
+            values = march(vp, mesh, spec.u0, forced).values
+            reference = _per_step_march(vp, mesh, spec.u0, forced)
+            scale = max(1.0, np.abs(reference).max())
+            assert np.abs(values - reference).max() <= 1e-12 * scale, (N, forced)
+
+
+@pytest.mark.parametrize("N", [92, 1024])
+def test_steady_state_is_reproduced_exactly_across_blocks(N):
+    # 92 = 10 blocks of 9 and 2 steps; every step maps 2 exactly onto 2.
+    # (At N = 96 one step width rounds so that a step-by-step march leaves
+    # 2 by an ulp, so there is no exact steady state to pin.)
+    vp = _validated(cases.steady_scalar())
+    assert (solve(vp, N).values == 2.0).all()
+    parts = decompose(vp, build_mesh(vp, N))
+    assert (parts.smooth.values == 2.0).all()
+    assert (parts.singular.values == 0.0).all()
+
+
+def test_state_kept_by_the_first_step_only_is_marched():
+    # f = 2 + t^6 changes 2 by less than rounding at t_1 = 2^-9, so step 1
+    # maps u0 = 2 exactly onto itself, and later steps move it
+    spec = cases.ProblemSpec(
+        n=1, A=((cases.poly(1.0),),), f=(cases.poly(2.0, 0, 0, 0, 0, 0, 1.0),),
+        u0=(2.0,), T=2.0, eps=(1.0,),
+    )
+    vp = _validated(spec)
+    mesh = build_mesh(vp, 1024)
+    values = march(vp, mesh, spec.u0).values
+    assert values[1, 0] == 2.0
+    reference = _per_step_march(vp, mesh, spec.u0, forced=True)
+    assert np.abs(values - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("forced", [True, False], ids=["given_f", "zero_f"])
+def test_decayed_solution_passes_the_residual_guard_at_large_N(forced):
+    # Far along the mesh the solution has decayed below 1e-6 of u(0) while
+    # eps/delta is ~1e4; values with an absolute error of order
+    # eps_mach |u(0)|, as offsets from u(0) carry, fail the guard there.
+    vp = _validated(cases.layer_two_scale())
+    values = march(vp, build_mesh(vp, 2 ** 16), (2.0, 2.0), forced).values
+    assert np.abs(values[-1]).max() < 1e-6
+
+
 @pytest.mark.parametrize("name,spec", cases.suite())
 @pytest.mark.parametrize("N", SUITE_N)
 def test_superposition_of_parts(name, spec, N):
