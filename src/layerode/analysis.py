@@ -108,13 +108,14 @@ def exact_constant_solution(spec, ts):
     return steady + exps @ (np.asarray(spec.u0, dtype=float) - steady)
 
 
-def exact_error(grid, vp):
-    """Maximum-norm gap between a computed grid and the closed form.
+def exact_error(grid):
+    """Maximum-norm gap between a computed grid and the closed form of the
+    problem it carries.
 
     Defined only for constant coefficients; time-varying problems have no
     closed form here, measure them with the two-grid difference instead.
     """
-    exact = exact_constant_solution(vp.spec, grid.mesh.points)
+    exact = exact_constant_solution(grid.problem.spec, grid.mesh.points)
     return float(np.abs(grid.values - exact).max())
 
 
@@ -197,7 +198,7 @@ def convergence_study(vp, n_values, mode):
         mesh = build_mesh(vp, nn)
         grid = march(vp, mesh, vp.spec.u0)
         if mode == MODE_EXACT:
-            errors.append(exact_error(grid, vp))
+            errors.append(exact_error(grid))
         else:
             fine = march(vp, bisect_mesh(mesh), vp.spec.u0)
             errors.append(two_mesh_difference(grid, fine))

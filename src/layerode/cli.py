@@ -31,7 +31,6 @@ from .analysis import (
     OracleUnavailableError,
     convergence_study,
     default_eps_grid,
-    eps_label,
     uniform_sweep,
 )
 from .mesh import MeshError, build_mesh
@@ -170,8 +169,8 @@ def _cmd_solve(args):
     lines = ["# alpha = %s" % _fmt(vp.alpha)]
     certificates_ok = True
     if args.certify:
-        nonneg = certify_max_principle(vp, grid)
-        stability = certify_stability(vp, grid)
+        nonneg = certify_max_principle(grid)
+        stability = certify_stability(grid)
         certificates_ok = nonneg and stability.ok
         lines += [
             "# max_principle = %s" % ("ok" if nonneg else "violated"),

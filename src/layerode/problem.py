@@ -66,7 +66,8 @@ class ProblemValidationError(ValueError):
 def _number(value, what):
     # float() parses strings too, and a string where a sequence is expected
     # would be read one character at a time ("12" as the coefficients 1, 2).
-    if isinstance(value, (str, bytes)):
+    # JSON true and false load as bools, which float() reads as 1 and 0.
+    if isinstance(value, (str, bytes, bool)):
         raise ProblemFormatError(f"{what} must be a number, got {value!r}")
     return float(value)
 

@@ -1,14 +1,14 @@
 """Implicit time marching with monotone step systems.
 
-Step j solves (E/delta_j + A(t_j)) U_j = rhs(t_j) + (E/delta_j) U_{j-1},
-where rhs is the forcing f for a forced march and zero for the homogeneous
-one (the layer part of decompose); A and f come from sample_A and sample_f
-on all step times at once. Step matrices inherit positive diagonals,
-nonpositive off-diagonal entries and strict row dominance from A(t), so
-every step is a monotone (inverse-nonnegative) solve. The march builds and
-inverts all N step matrices at once, evaluates the affine recurrence
-U_j = P_j U_{j-1} + q_j as a blocked scan in about 2 sqrt(N) vectorized
-iterations, and then checks every step's residual in one vectorized pass.
+Step j solves (E/delta_j + A(t_j)) U_j = f(t_j) + (E/delta_j) U_{j-1}, with
+A and f from sample_A and sample_f on all step times at once; the layer part
+of decompose is the same march on the problem's zero-forcing twin. Step
+matrices inherit positive diagonals, nonpositive off-diagonal entries and
+strict row dominance from A(t), so every step is a monotone
+(inverse-nonnegative) solve. The march builds and inverts all N step
+matrices at once, evaluates the affine recurrence U_j = P_j U_{j-1} + q_j as
+a blocked scan in about 2 sqrt(N) vectorized iterations, and then checks
+every step's residual in one vectorized pass.
 The certificates at the bottom of this module check the two consequences of
 the monotone structure on computed grids: preservation of nonnegative data
 and the maximum-norm stability bound.
@@ -17,12 +17,12 @@ and the maximum-norm stability bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .mesh import build_mesh
-from .problem import sample_A, sample_f
+from .problem import ValidatedProblem, sample_A, sample_f
 
 __all__ = [
     "STEP_RESIDUAL_RTOL",
@@ -51,22 +51,17 @@ class SolveFailureError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SolutionGrid:
-    """Discrete solution bound to the mesh it was computed on.
+    """Discrete solution bound to the problem and mesh it was computed on.
 
-    values[j, i] is component i at mesh point t_j: shape (N+1, n), time-major
-    like sample_A and sample_f, and read-only. forced says which system
-    was marched: True for the problem forcing f (a full solve or the smooth
-    part), False for the homogeneous system (the layer part), whose
-    right-hand side the certificates then take as zero.
+    problem is the ValidatedProblem that was marched, so the certificates
+    and exact_error read its f and alpha from here. values[j, i] is
+    component i at mesh point t_j: shape (N+1, n), time-major like sample_A
+    and sample_f, and read-only.
     """
 
+    problem: ValidatedProblem
     mesh: object
     values: np.ndarray
-    forced: bool
-
-    @property
-    def n(self):
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,8 +96,7 @@ def step_matrices(vp, mesh):
 def _affine_recurrence(inverses, ed, f, u):
     """Run U_j = P_j U_{j-1} + q_j from U_0 = u; row j of the result is U_j.
 
-    inverses holds M_j^-1 and is scaled in place into P_j; q_j = M_j^-1 f_j,
-    or 0 when f is None.
+    inverses holds M_j^-1 and is scaled in place into P_j; q_j = M_j^-1 f_j.
 
     The recurrence is a blocked scan. The steps are cut into N // B blocks
     of B = isqrt(N) steps, plus one block of the N % B steps left over.
@@ -124,10 +118,7 @@ def _affine_recurrence(inverses, ed, f, u):
     N, n = ed.shape
     values = np.empty((N + 1, n))
     values[0] = u
-    if f is None:
-        values[1:] = 0.0
-    else:
-        np.einsum("jik,jk->ji", inverses, f, out=values[1:])
+    np.einsum("jik,jk->ji", inverses, f, out=values[1:])
     inverses *= ed[:, None, :]
     if _is_steady(inverses, values[1:], u):
         values[1:] = u
@@ -167,20 +158,19 @@ def _compose(p, c, i):
     np.matmul(p[:, i], p[:, i - 1], out=p[:, i])
 
 
-def march(vp, mesh, u_init, forced=True):
+def march(vp, mesh, u_init):
     """Backward time march over a mesh.
 
     All N step matrices M_j are built and inverted in one batched call, and
     each step becomes the affine map U_j = P_j U_{j-1} + q_j with
-    P_j = M_j^-1 diag(eps)/delta_j and q_j = M_j^-1 f(t_j) (q_j = 0 when
-    not forced). The recurrence is evaluated as a blocked scan in about
-    2 sqrt(N) vectorized iterations (see _affine_recurrence). Afterwards
-    every step is checked against the system it solves, in one vectorized
-    pass: the residual guard requires
+    P_j = M_j^-1 diag(eps)/delta_j and q_j = M_j^-1 f(t_j). The recurrence
+    is evaluated as a blocked scan in about 2 sqrt(N) vectorized iterations
+    (see _affine_recurrence). Afterwards every step is checked against the
+    system it solves, in one vectorized pass: the residual guard requires
     |M_j U_j - b_j| <= STEP_RESIDUAL_RTOL * (1 + |b_j|) in the maximum norm,
-    with b_j = diag(eps)/delta_j U_{j-1} + f(t_j) (without f(t_j) when not
-    forced), and the first step that fails it raises SolveFailureError.
-    The tolerance is the module constant, read at call time.
+    with b_j = diag(eps)/delta_j U_{j-1} + f(t_j), and the first step that
+    fails it raises SolveFailureError. The tolerance is the module
+    constant, read at call time.
 
     Parameters
     ----------
@@ -190,14 +180,11 @@ def march(vp, mesh, u_init, forced=True):
         Mesh to march over; must match the problem's horizon and scales.
     u_init : array_like
         Value at t = 0 for this grid.
-    forced : bool
-        True marches with the problem forcing f; False marches the
-        homogeneous system (the layer part of the decomposition). Stored on
-        the returned grid.
 
     Returns
     -------
     SolutionGrid
+        Bound to vp and mesh.
     """
     spec = vp.spec
     n = spec.n
@@ -215,12 +202,10 @@ def march(vp, mesh, u_init, forced=True):
 
     ed = np.asarray(spec.eps) / mesh.deltas[:, None]
     m = step_matrices(vp, mesh)
-    f = sample_f(spec, mesh.points[1:]) if forced else None
+    f = sample_f(spec, mesh.points[1:])
     values = _affine_recurrence(np.linalg.inv(m), ed, f, u)
 
-    b = ed * values[:-1]
-    if f is not None:
-        b += f
+    b = ed * values[:-1] + f
     residual = np.abs(np.einsum("jik,jk->ji", m, values[1:]) - b).max(axis=1)
     failed = np.flatnonzero(residual > STEP_RESIDUAL_RTOL * (1.0 + np.abs(b).max(axis=1)))
     if failed.size:
@@ -231,7 +216,7 @@ def march(vp, mesh, u_init, forced=True):
     if not np.isfinite(values).all():
         raise SolveFailureError("non-finite values in the computed grid")
     values.setflags(write=False)
-    return SolutionGrid(mesh=mesh, values=values, forced=forced)
+    return SolutionGrid(problem=vp, mesh=mesh, values=values)
 
 
 def solve(vp, N):
@@ -243,29 +228,26 @@ def solve(vp, N):
 def decompose(vp, mesh):
     """Split the discrete solution into smooth and layer parts.
 
-    The smooth part marches the forced system from the reduced initial
-    value A(0)^-1 f(0); the layer part marches the homogeneous system from
-    the remainder u(0) - A(0)^-1 f(0). By linearity the parts add up to the
-    full solution to rounding; nothing is subtracted from a computed grid.
+    The smooth part marches the problem from the reduced initial value
+    A(0)^-1 f(0); the layer part marches its zero-forcing twin (f = 0, the
+    same A, eps, T and alpha, which validate derives from A, eps and T
+    alone) from the remainder u(0) - A(0)^-1 f(0), and its grid carries
+    that twin. By linearity the parts add up to the full solution to
+    rounding; nothing is subtracted from a computed grid.
     """
     spec = vp.spec
     v0 = np.linalg.solve(sample_A(spec, 0.0)[0], sample_f(spec, 0.0)[0])
     w0 = np.asarray(spec.u0, dtype=float) - v0
+    zero_f = ValidatedProblem(replace(spec, f=((0.0,),) * spec.n), vp.alpha)
     smooth = march(vp, mesh, v0)
-    singular = march(vp, mesh, w0, forced=False)
+    singular = march(zero_f, mesh, w0)
     return DecomposedSolution(smooth=smooth, singular=singular)
 
 
-def _rhs_values(vp, grid):
-    if not grid.forced:
-        return np.zeros((grid.mesh.N, grid.n))
-    return sample_f(vp.spec, grid.mesh.points[1:])
-
-
-def certify_max_principle(vp, grid):
+def certify_max_principle(grid):
     """Nonnegativity certificate for grids marched from nonnegative data.
 
-    If the initial value and the right-hand side at every step are
+    If the initial value and the forcing of grid.problem at every step are
     nonnegative, returns whether the grid stayed above -1e-12 * scale with
     scale = max(1, largest magnitude on the grid). When the hypothesis does
     not hold the implication being certified is empty and the certificate
@@ -273,19 +255,20 @@ def certify_max_principle(vp, grid):
     """
     if (grid.values[0] < 0.0).any():
         return True
-    if (_rhs_values(vp, grid) < 0.0).any():
+    if (sample_f(grid.problem.spec, grid.mesh.points[1:]) < 0.0).any():
         return True
     scale = max(1.0, float(np.abs(grid.values).max()))
     return bool(grid.values.min() >= -MAX_PRINCIPLE_RTOL * scale)
 
 
-def certify_stability(vp, grid):
+def certify_stability(grid):
     """Maximum-norm certificate: every grid value obeys
-    max_j ||U(t_j)|| <= max(||U(0)||, max_j ||rhs(t_j)|| / alpha)."""
+    max_j ||U(t_j)|| <= max(||U(0)||, max_j ||f(t_j)|| / alpha), with f and
+    alpha those of grid.problem."""
     initial_norm = float(np.abs(grid.values[0]).max())
-    rhs = _rhs_values(vp, grid)
+    rhs = sample_f(grid.problem.spec, grid.mesh.points[1:])
     rhs_norm = float(np.abs(rhs).max()) if rhs.size else 0.0
-    bound = max(initial_norm, rhs_norm / vp.alpha)
+    bound = max(initial_norm, rhs_norm / grid.problem.alpha)
     max_norm = float(np.abs(grid.values).max())
     return StabilityCertificate(
         bound=bound,

@@ -1,5 +1,7 @@
 """Shared problem builders and randomized generators for the test suite."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from layerode import ProblemSpec, validate
@@ -80,6 +82,11 @@ def variable_three_scale(eps=(2.0 ** -8, 2.0 ** -4, 1.0)):
         T=1.0,
         eps=eps,
     )
+
+
+def zero_forcing(spec):
+    """The same problem with f = 0: the system the layer part solves."""
+    return replace(spec, f=(poly(0.0),) * spec.n)
 
 
 def scaled_identity(eps, alpha, T):

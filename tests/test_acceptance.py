@@ -112,7 +112,7 @@ def test_criterion_5_discrete_maximum_principle():
         vp = validate(cases.random_nonneg_problem(rng))
         grid = solve(vp, 64)
         scale = max(1.0, float(np.abs(grid.values).max()))
-        if grid.values.min() < -1e-12 * scale or not certify_max_principle(vp, grid):
+        if grid.values.min() < -1e-12 * scale or not certify_max_principle(grid):
             failures += 1
     _criterion(5, "nonnegative data keeps the solution nonnegative",
                failures == 0, "%d failures in 200 runs" % failures)
@@ -123,7 +123,7 @@ def test_criterion_6_discrete_stability():
     for name, spec in cases.suite():
         vp = validate(spec)
         for N in SUITE_N:
-            if not certify_stability(vp, solve(vp, N)).ok:
+            if not certify_stability(solve(vp, N)).ok:
                 failures.append((name, N))
     _criterion(6, "stability certificate holds on the suite",
                not failures, "failures: %s" % (failures or "none"))
@@ -203,8 +203,8 @@ def test_criterion_10_oracle_cross_validation():
         coarse = march(vp, coarse_mesh, vp.spec.u0)
         fine = march(vp, bisect_mesh(coarse_mesh), vp.spec.u0)
         extrapolated = 2.0 * fine.values[::2] - coarse.values
-        reference = SolutionGrid(mesh=coarse_mesh, values=extrapolated, forced=True)
-        worst = max(worst, exact_error(reference, vp))
+        reference = SolutionGrid(problem=vp, mesh=coarse_mesh, values=extrapolated)
+        worst = max(worst, exact_error(reference))
     ok = worst <= 1e-6
     _criterion(10, "closed form agrees with a brute-force run", ok,
                "max gap %.2e" % worst)

@@ -108,20 +108,20 @@ def test_closed_form_needs_constant_coefficients_and_nonnegative_times():
 
 def test_exact_error_zero_for_steady_problem():
     vp = validate(cases.steady_scalar())
-    assert exact_error(solve(vp, 8), vp) <= 1e-13
+    assert exact_error(solve(vp, 8)) <= 1e-13
 
 
 def test_exact_error_unavailable_for_varying_coefficients():
     vp = validate(cases.variable_three_scale())
     grid = solve(vp, 16)
     with pytest.raises(OracleUnavailableError):
-        exact_error(grid, vp)
+        exact_error(grid)
 
 
 def test_oracle_error_decreases_with_refinement():
     vp = validate(cases.layer_two_scale())
-    e64 = exact_error(solve(vp, 64), vp)
-    e128 = exact_error(solve(vp, 128), vp)
+    e64 = exact_error(solve(vp, 64))
+    e128 = exact_error(solve(vp, 128))
     assert e64 > e128 > 0.0
 
 

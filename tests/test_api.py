@@ -1,7 +1,9 @@
-"""Public names: every export resolves, and the package exports nothing
-that its modules do not list."""
+"""Public names: every export resolves, the package exports nothing that
+its modules do not list, and no module imports a name it never uses."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +26,23 @@ def test_package_names_come_from_module_exports():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert public - exported == set()
+
+
+SOURCES = sorted(
+    path for path in Path(layerode.__file__).parent.glob("*.py")
+    if path.name != "__init__.py"
+)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    # __init__.py imports only to re-export, so it is left out.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

@@ -102,6 +102,15 @@ def test_string_number_exits_2(tmp_path, capsys):
     assert "must be a number" in capsys.readouterr().err
 
 
+def test_bool_number_exits_2(tmp_path, capsys):
+    data = problem_to_dict(cases.constant_two_scale())
+    data["T"] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["validate", "--problem", str(path)]) == EXIT_PARSE
+    assert "horizon T must be a number, got True" in capsys.readouterr().err
+
+
 def test_fractional_system_size_exits_2(tmp_path, capsys):
     data = problem_to_dict(cases.constant_two_scale())
     data["n"] = 2.7
@@ -309,7 +318,7 @@ def test_table_output_matches_per_row_formatter(problem, capsys):
 
 
 def _fail_certificate(monkeypatch):
-    monkeypatch.setattr("layerode.cli.certify_max_principle", lambda vp, grid: False)
+    monkeypatch.setattr("layerode.cli.certify_max_principle", lambda grid: False)
 
 
 def _zero_residual_tolerance(monkeypatch):

@@ -240,10 +240,20 @@ STRING_EDITS = [
     ("steady_scalar", "eps", "1"),
     ("constant_two_scale", "T", "1.0"),
 ]
+# Each edit loaded before bools were rejected: JSON true and false are read
+# as 1 and 0.
+BOOL_EDITS = [
+    ("constant_two_scale", "T", True),
+    ("constant_two_scale", "u0", [True, False]),
+    ("steady_scalar", "eps", [True]),
+    ("constant_two_scale", "f", [[1.0, False], 2.0]),
+]
 
 
-@pytest.mark.parametrize("case,key,value", STRING_EDITS,
-                         ids=[edit[1] for edit in STRING_EDITS])
+@pytest.mark.parametrize(
+    "case,key,value", STRING_EDITS + BOOL_EDITS,
+    ids=[edit[1] for edit in STRING_EDITS] + [edit[1] + "_bool" for edit in BOOL_EDITS],
+)
 def test_strings_rejected_where_numbers_expected(case, key, value):
     data = problem_to_dict(getattr(cases, case)())
     data[key] = value

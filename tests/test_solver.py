@@ -23,6 +23,12 @@ from layerode import (
 
 SUITE_N = (16, 64)
 
+# Each problem as given and its zero-forcing twin, the system the layer part
+# of decompose solves.
+FORCINGS = pytest.mark.parametrize(
+    "forcing", [lambda spec: spec, cases.zero_forcing], ids=["given_f", "zero_f"]
+)
+
 
 def _validated(spec):
     return validate(spec)
@@ -74,7 +80,7 @@ def test_random_step_matrices_are_m_matrices():
         assert cases.inverse_nonnegative(m)
 
 
-def _per_step_march(vp, mesh, u_init, forced):
+def _per_step_march(vp, mesh, u_init):
     # Reference: one dense solve per step, in mesh order.
     spec = vp.spec
     eps = np.asarray(spec.eps)
@@ -83,7 +89,7 @@ def _per_step_march(vp, mesh, u_init, forced):
     for j in range(1, mesh.N + 1):
         t = float(mesh.points[j])
         ed = eps / mesh.deltas[j - 1]
-        b = ed * u + (sample_f(spec, t)[0] if forced else 0.0)
+        b = ed * u + sample_f(spec, t)[0]
         u = np.linalg.solve(sample_A(spec, t)[0] + np.diag(ed), b)
         rows.append(u)
     return np.array(rows)
@@ -91,14 +97,14 @@ def _per_step_march(vp, mesh, u_init, forced):
 
 @pytest.mark.parametrize("name,spec", cases.suite())
 @pytest.mark.parametrize("N", SUITE_N)
-@pytest.mark.parametrize("forced", [True, False], ids=["given_f", "zero_f"])
-def test_march_matches_per_step_solves(name, spec, N, forced):
-    vp = _validated(spec)
+@FORCINGS
+def test_march_matches_per_step_solves(name, spec, N, forcing):
+    vp = _validated(forcing(spec))
     mesh = build_mesh(vp, N)
     u_init = np.asarray(spec.u0) + 1.0
-    grid = march(vp, mesh, u_init, forced)
-    assert grid.forced is forced
-    reference = _per_step_march(vp, mesh, u_init, forced)
+    grid = march(vp, mesh, u_init)
+    assert grid.problem is vp and grid.mesh is mesh
+    reference = _per_step_march(vp, mesh, u_init)
     scale = max(1.0, np.abs(reference).max())
     assert np.abs(grid.values - reference).max() <= 1e-12 * scale
 
@@ -116,13 +122,13 @@ BLOCK_CASES = [
 
 
 @pytest.mark.parametrize("name,spec,N", BLOCK_CASES)
-@pytest.mark.parametrize("forced", [True, False], ids=["given_f", "zero_f"])
-def test_march_matches_per_step_solves_across_blocks(name, spec, N, forced):
-    vp = _validated(spec)
+@FORCINGS
+def test_march_matches_per_step_solves_across_blocks(name, spec, N, forcing):
+    vp = _validated(forcing(spec))
     mesh = build_mesh(vp, N)
     u_init = np.asarray(spec.u0) + 1.0
-    values = march(vp, mesh, u_init, forced).values
-    reference = _per_step_march(vp, mesh, u_init, forced)
+    values = march(vp, mesh, u_init).values
+    reference = _per_step_march(vp, mesh, u_init)
     scale = max(1.0, np.abs(reference).max())
     assert np.abs(values - reference).max() <= 1e-12 * scale
 
@@ -131,14 +137,14 @@ def test_march_matches_per_step_solves_at_random_sizes():
     rng = np.random.default_rng(4177)
     for _ in range(12):
         spec = cases.random_nonneg_problem(rng)
-        vp = _validated(spec)
         N = 2 ** spec.n * int(rng.integers(1, 300 // 2 ** spec.n + 1))
-        mesh = build_mesh(vp, N)
-        for forced in (True, False):
-            values = march(vp, mesh, spec.u0, forced).values
-            reference = _per_step_march(vp, mesh, spec.u0, forced)
+        mesh = build_mesh(_validated(spec), N)
+        for problem in (spec, cases.zero_forcing(spec)):
+            vp = _validated(problem)
+            values = march(vp, mesh, spec.u0).values
+            reference = _per_step_march(vp, mesh, spec.u0)
             scale = max(1.0, np.abs(reference).max())
-            assert np.abs(values - reference).max() <= 1e-12 * scale, (N, forced)
+            assert np.abs(values - reference).max() <= 1e-12 * scale, (N, problem.f)
 
 
 @pytest.mark.parametrize("N", [92, 1024])
@@ -164,17 +170,16 @@ def test_state_kept_by_the_first_step_only_is_marched():
     mesh = build_mesh(vp, 1024)
     values = march(vp, mesh, spec.u0).values
     assert values[1, 0] == 2.0
-    reference = _per_step_march(vp, mesh, spec.u0, forced=True)
+    reference = _per_step_march(vp, mesh, spec.u0)
     assert np.abs(values - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
-@pytest.mark.parametrize("forced", [True, False], ids=["given_f", "zero_f"])
-def test_decayed_solution_passes_the_residual_guard_at_large_N(forced):
+def test_decayed_solution_passes_the_residual_guard_at_large_N():
     # Far along the mesh the solution has decayed below 1e-6 of u(0) while
     # eps/delta is ~1e4; values with an absolute error of order
     # eps_mach |u(0)|, as offsets from u(0) carry, fail the guard there.
     vp = _validated(cases.layer_two_scale())
-    values = march(vp, build_mesh(vp, 2 ** 16), (2.0, 2.0), forced).values
+    values = march(vp, build_mesh(vp, 2 ** 16), (2.0, 2.0)).values
     assert np.abs(values[-1]).max() < 1e-6
 
 
@@ -197,12 +202,27 @@ def test_decomposition_initial_split():
     assert np.array_equal(parts.singular.values[0], np.array(vp.spec.u0) - v0)
 
 
+@pytest.mark.parametrize("name,spec", cases.suite())
+def test_parts_carry_the_problem_and_its_zero_forcing_twin(name, spec):
+    vp = _validated(spec)
+    parts = decompose(vp, build_mesh(vp, 16))
+    assert parts.smooth.problem is vp
+    layer = parts.singular.problem
+    assert layer.spec.f == ((0.0,),) * spec.n
+    assert (layer.spec.A, layer.spec.eps, layer.spec.T) == (spec.A, spec.eps, spec.T)
+    assert layer.alpha == vp.alpha
+    assert layer == _validated(cases.zero_forcing(spec))
+
+
 def test_layer_part_marches_the_homogeneous_system():
-    vp = _validated(cases.layer_two_scale())
+    # the layer part starts at u0 - A(0)^-1 f(0) = (-1, -1) and is marched
+    # without the forcing f = (2, 2)
+    vp = _validated(cases.constant_two_scale())
     mesh = build_mesh(vp, 32)
     singular = decompose(vp, mesh).singular
-    assert singular.forced is False
-    reference = _per_step_march(vp, mesh, singular.values[0], forced=False)
+    reference = _per_step_march(
+        _validated(cases.zero_forcing(vp.spec)), mesh, singular.values[0]
+    )
     scale = max(1.0, np.abs(reference).max())
     assert np.abs(singular.values - reference).max() <= 1e-12 * scale
 
@@ -221,9 +241,9 @@ def test_homogeneous_norms_never_grow():
 def test_nonnegative_data_certificates(name, spec, N):
     vp = _validated(spec)
     grid = solve(vp, N)
-    assert certify_max_principle(vp, grid)
+    assert certify_max_principle(grid)
     assert grid.values.min() >= -1e-12 * max(1.0, np.abs(grid.values).max())
-    stability = certify_stability(vp, grid)
+    stability = certify_stability(grid)
     assert stability.ok
     assert stability.max_norm <= stability.bound * (1.0 + 1e-10)
 
@@ -231,30 +251,29 @@ def test_nonnegative_data_certificates(name, spec, N):
 def test_stability_bound_values():
     vp = _validated(cases.steady_scalar())
     grid = solve(vp, 8)
-    stability = certify_stability(vp, grid)
+    stability = certify_stability(grid)
     assert stability.bound == 2.0
     assert stability.max_norm == 2.0
     vp = _validated(cases.layer_two_scale())
-    stability = certify_stability(vp, solve(vp, 32))
+    stability = certify_stability(solve(vp, 32))
     assert stability.bound == 1.0
 
 
 def test_layer_part_certificates_use_zero_right_hand_side():
     # the layer part starts at u0 - A(0)^-1 f(0) = (-0.5, -0.5) and marches
-    # the homogeneous system, so its bound is the initial norm alone; the
+    # the zero-forcing twin, so its bound is the initial norm alone; the
     # forcing would give |f| / alpha = 1
     vp = _validated(replace(cases.constant_two_scale(), u0=(0.5, 0.5)))
     singular = decompose(vp, build_mesh(vp, 16)).singular
-    assert not singular.forced
-    assert certify_stability(vp, singular).bound == 0.5
+    assert certify_stability(singular).bound == 0.5
 
 
 def test_certificate_vacuous_for_negative_initial_value():
     vp = _validated(cases.decay_scalar())
     mesh = build_mesh(vp, 4)
-    grid = march(vp, mesh, (-1.0,), forced=False)
+    grid = march(vp, mesh, (-1.0,))
     assert grid.values.min() < 0.0
-    assert certify_max_principle(vp, grid)
+    assert certify_max_principle(grid)
 
 
 def test_certificate_vacuous_for_negative_forcing():
@@ -265,7 +284,7 @@ def test_certificate_vacuous_for_negative_forcing():
     vp = _validated(spec)
     grid = solve(vp, 4)
     assert grid.values.min() < 0.0
-    assert certify_max_principle(vp, grid)
+    assert certify_max_principle(grid)
 
 
 def test_march_rejects_foreign_mesh():
