@@ -174,11 +174,12 @@ def test_state_kept_by_the_first_step_only_is_marched():
     assert np.abs(values - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
-def test_decayed_solution_passes_the_residual_guard_at_large_N():
+@FORCINGS
+def test_decayed_solution_passes_the_residual_guard_at_large_N(forcing):
     # Far along the mesh the solution has decayed below 1e-6 of u(0) while
     # eps/delta is ~1e4; values with an absolute error of order
     # eps_mach |u(0)|, as offsets from u(0) carry, fail the guard there.
-    vp = _validated(cases.layer_two_scale())
+    vp = _validated(forcing(cases.layer_two_scale()))
     values = march(vp, build_mesh(vp, 2 ** 16), (2.0, 2.0)).values
     assert np.abs(values[-1]).max() < 1e-6
 
