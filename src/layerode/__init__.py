@@ -9,11 +9,8 @@ orders over parameter grids.
 """
 
 from .analysis import (
-    MODE_EXACT,
-    MODE_TWO_MESH,
     ConvergenceReport,
     ConvergenceRow,
-    MeshNestingError,
     OracleUnavailableError,
     SweepReport,
     convergence_study,

@@ -1,10 +1,14 @@
-"""Empirical verification: layer envelopes, a closed form for constant
-coefficients, error measurement, and convergence studies.
+"""Empirical verification: a closed form for constant coefficients, error
+measures, and convergence studies.
 
-Errors are measured in the discrete maximum norm over mesh points. Observed
-orders come from successive halving, p = log2(e_N / e_2N). Fitted constants
-divide the error by N^-1 ln N, the expected decay for this discretization,
-so a flat fitted constant across N is the empirical signature of that rate.
+An error measure is a function of one solved grid: exact_error compares it
+with the closed form, two_mesh_difference with a march on the bisected
+mesh. Both use the discrete maximum norm over the grid's mesh points. A
+convergence study is the list of one measure's errors over a doubling
+sequence of meshes. Observed orders come from successive halving,
+p = log2(e_N / e_2N). Fitted constants divide the error by N^-1 ln N, the
+expected decay for this discretization, so a flat fitted constant across N
+is the empirical signature of that rate.
 """
 
 from __future__ import annotations
@@ -14,15 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import bisect_mesh, build_mesh
+from .mesh import bisect_mesh
 from .problem import sample_A, sample_f, validate
-from .solver import march
+from .solver import SolveFailureError, march, solve
 
 __all__ = [
-    "MODE_EXACT",
-    "MODE_TWO_MESH",
     "OracleUnavailableError",
-    "MeshNestingError",
     "ConvergenceRow",
     "ConvergenceReport",
     "SweepReport",
@@ -37,20 +38,12 @@ __all__ = [
     "uniform_sweep",
 ]
 
-MODE_EXACT = "exact_oracle"
-MODE_TWO_MESH = "two_mesh"
-
-_NESTING_RTOL = 1e-12
 _SERIES_DEGREE = 16
 _SERIES_COEFFS = tuple(1.0 / math.factorial(k) for k in range(_SERIES_DEGREE + 1))
 
 
 class OracleUnavailableError(ValueError):
     """The closed-form reference needs constant coefficients."""
-
-
-class MeshNestingError(ValueError):
-    """Two-grid differencing needs a mesh and its exact bisection."""
 
 
 def matrix_exponential(m):
@@ -119,22 +112,15 @@ def exact_error(grid):
     return float(np.abs(grid.values - exact).max())
 
 
-def two_mesh_difference(coarse, fine):
-    """Maximum-norm difference at the coarse points between a grid and one
-    computed on the bisected mesh."""
-    if fine.mesh.N != 2 * coarse.mesh.N:
-        raise MeshNestingError(
-            "fine mesh has %d intervals, expected exactly twice the coarse %d"
-            % (fine.mesh.N, coarse.mesh.N)
-        )
-    coarse_points = coarse.mesh.points
-    scale = max(1.0, float(abs(coarse_points[-1])))
-    gap = float(np.abs(fine.mesh.points[::2] - coarse_points).max())
-    if gap > _NESTING_RTOL * scale:
-        raise MeshNestingError(
-            "fine mesh does not contain the coarse points (offset %.3e)" % gap
-        )
-    return float(np.abs(coarse.values - fine.values[::2]).max())
+def two_mesh_difference(grid):
+    """Maximum-norm difference at the grid's points between the grid and a
+    march of its problem on the bisected mesh from the same initial value.
+
+    bisect_mesh keeps every point of the mesh, so the fine grid's even
+    points are the grid's own and no interpolation is needed.
+    """
+    fine = march(grid.problem, bisect_mesh(grid.mesh), grid.values[0])
+    return float(np.abs(grid.values - fine.values[::2]).max())
 
 
 @dataclass(frozen=True)
@@ -149,7 +135,6 @@ class ConvergenceRow:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    mode: str
     eps_label: str
     rows: tuple
 
@@ -158,7 +143,6 @@ class ConvergenceReport:
 class SweepReport:
     """Per-parameter reports plus worst-case rows over the whole grid."""
 
-    mode: str
     reports: tuple
     uniform_rows: tuple
 
@@ -177,13 +161,14 @@ def order_rows(n_values, errors):
     return tuple(rows)
 
 
-def convergence_study(vp, n_values, mode):
+def convergence_study(vp, n_values, error):
     """Errors and observed orders over a doubling sequence of mesh sizes.
 
-    exact_oracle mode measures against the constant-coefficient closed
-    form (exact_constant_solution, which raises OracleUnavailableError when
-    the coefficients vary in time). two_mesh mode solves each mesh and its
-    bisection and differences the two grids at the shared points.
+    error is a measure of one solved grid, exact_error or
+    two_mesh_difference; it is applied to solve(vp, N) for each N.
+    exact_error raises OracleUnavailableError when the coefficients vary in
+    time. A non-finite error raises SolveFailureError, since it would leave
+    every order after it undefined.
     """
     n_values = [int(v) for v in n_values]
     if not n_values:
@@ -191,19 +176,11 @@ def convergence_study(vp, n_values, mode):
     for first, second in zip(n_values, n_values[1:]):
         if second != 2 * first:
             raise ValueError("mesh sizes must double, got %d then %d" % (first, second))
-    if mode not in (MODE_EXACT, MODE_TWO_MESH):
-        raise ValueError(f"unknown mode {mode!r}")
-    errors = []
-    for nn in n_values:
-        mesh = build_mesh(vp, nn)
-        grid = march(vp, mesh, vp.spec.u0)
-        if mode == MODE_EXACT:
-            errors.append(exact_error(grid))
-        else:
-            fine = march(vp, bisect_mesh(mesh), vp.spec.u0)
-            errors.append(two_mesh_difference(grid, fine))
+    errors = [error(solve(vp, nn)) for nn in n_values]
+    for nn, err in zip(n_values, errors):
+        if not math.isfinite(err):
+            raise SolveFailureError("error at N=%d is not finite" % nn)
     return ConvergenceReport(
-        mode=mode,
         eps_label=eps_label(vp.spec.eps),
         rows=order_rows(n_values, errors),
     )
@@ -237,7 +214,7 @@ def default_eps_grid(n):
     return grid
 
 
-def uniform_sweep(template, eps_grid, n_values, mode):
+def uniform_sweep(template, eps_grid, n_values, error):
     """Convergence studies across a parameter grid plus worst-case rows.
 
     Parameters
@@ -249,8 +226,9 @@ def uniform_sweep(template, eps_grid, n_values, mode):
         (sorted), so results do not depend on how the grid was produced.
     n_values : list of int
         Doubling mesh sizes, shared by every study.
-    mode : str
-        'exact_oracle' or 'two_mesh'.
+    error : callable
+        Error measure of one solved grid, exact_error or
+        two_mesh_difference.
 
     Each grid entry is validated and run through convergence_study in this
     process, in sorted order, so a sweep is exactly the studies `converge`
@@ -267,7 +245,7 @@ def uniform_sweep(template, eps_grid, n_values, mode):
         raise ValueError("empty eps grid")
     n_values = [int(v) for v in n_values]
     reports = tuple(
-        convergence_study(validate(template.with_eps(eps)), n_values, mode)
+        convergence_study(validate(template.with_eps(eps)), n_values, error)
         for eps in grid
     )
     worst = [
@@ -275,7 +253,6 @@ def uniform_sweep(template, eps_grid, n_values, mode):
         for i in range(len(n_values))
     ]
     return SweepReport(
-        mode=mode,
         reports=reports,
         uniform_rows=order_rows(n_values, worst),
     )

@@ -5,10 +5,11 @@ the smooth/layer split and certificates), and run convergence studies for
 one parameter choice (converge) or across a parameter grid (sweep).
 
 Exit codes: 0 ok, 1 solve certificate failure, 2 unreadable or malformed
-input, 3 problem validation failure, 4 mesh construction failure,
-5 requested convergence band not met, 6 numerical failure (a step failed
-the fixed 1e-12 residual guard, the grid went non-finite, or numpy's linear
-algebra reported a singular matrix). All numbers are written with 17
+input or a mesh too large for memory, 3 problem validation failure, 4 mesh
+construction failure, 5 requested convergence band not met, 6 numerical
+failure (a step failed the fixed 1e-12 residual guard, the grid went
+non-finite, a study's error was not finite, or numpy's linear algebra
+reported a singular matrix). All numbers are written with 17
 significant digits, so output is byte-identical across runs and floats
 round-trip exactly.
 """
@@ -24,10 +25,8 @@ import sys
 
 import numpy as np
 
+from . import analysis
 from .analysis import (
-    MODE_EXACT,
-    MODE_TWO_MESH,
-    MeshNestingError,
     OracleUnavailableError,
     convergence_study,
     default_eps_grid,
@@ -45,7 +44,7 @@ from .solver import (
     certify_max_principle,
     certify_stability,
     decompose,
-    march,
+    solve,
 )
 
 EXIT_OK = 0
@@ -55,6 +54,11 @@ EXIT_VALIDATION = 3
 EXIT_MESH = 4
 EXIT_BAND = 5
 EXIT_NUMERICAL = 6
+
+# --mode value -> (printed mode label, error measure in layerode.analysis, looked
+# up when a study runs so that a wrapper installed there sees every call)
+_MEASURES = {"exact": ("exact_oracle", "exact_error"),
+             "two_mesh": ("two_mesh", "two_mesh_difference")}
 
 
 def _fmt(x):
@@ -122,10 +126,6 @@ def _band_arg(text):
     return value
 
 
-def _mode_value(text):
-    return MODE_EXACT if text == "exact" else MODE_TWO_MESH
-
-
 def _load_validated(args):
     return validate(load_problem(args.problem))
 
@@ -163,8 +163,8 @@ def _cmd_mesh(args):
 
 def _cmd_solve(args):
     vp = _load_validated(args)
-    mesh = build_mesh(vp, args.N)
-    grid = march(vp, mesh, vp.spec.u0)
+    grid = solve(vp, args.N)
+    mesh = grid.mesh
     n = vp.spec.n
     lines = ["# alpha = %s" % _fmt(vp.alpha)]
     certificates_ok = True
@@ -236,11 +236,12 @@ def _band_gate(rows, band, what):
 
 def _cmd_converge(args):
     vp = _load_validated(args)
-    report = convergence_study(vp, args.N, args.mode)
+    label, measure = _MEASURES[args.mode]
+    report = convergence_study(vp, args.N, getattr(analysis, measure))
     if args.json:
-        _emit([json.dumps({"mode": report.mode, **_report_dict(report)}, indent=2)], args.out)
+        _emit([json.dumps({"mode": label, **_report_dict(report)}, indent=2)], args.out)
     else:
-        lines = ["# mode = %s" % report.mode, "eps_label,N,D,p,C_fit"]
+        lines = ["# mode = %s" % label, "eps_label,N,D,p,C_fit"]
         _study_lines(lines, report.eps_label, report.rows)
         _emit(lines, args.out)
     return _band_gate(report.rows, args.min_p, "observed")
@@ -249,16 +250,17 @@ def _cmd_converge(args):
 def _cmd_sweep(args):
     spec = load_problem(args.problem)
     grid = default_eps_grid(spec.n) if args.eps_grid == "default" else args.eps_grid
-    sweep = uniform_sweep(spec, grid, args.N, args.mode)
+    label, measure = _MEASURES[args.mode]
+    sweep = uniform_sweep(spec, grid, args.N, getattr(analysis, measure))
     if args.json:
         payload = {
-            "mode": sweep.mode,
+            "mode": label,
             "reports": [_report_dict(r) for r in sweep.reports],
             "uniform": [_row_dict(row) for row in sweep.uniform_rows],
         }
         _emit([json.dumps(payload, indent=2)], args.out)
     else:
-        lines = ["# mode = %s" % sweep.mode, "eps_label,N,D,p,C_fit"]
+        lines = ["# mode = %s" % label, "eps_label,N,D,p,C_fit"]
         for report in sweep.reports:
             _study_lines(lines, report.eps_label, report.rows)
         _study_lines(lines, "uniform", sweep.uniform_rows)
@@ -303,7 +305,7 @@ def _build_parser():
     _add_problem_options(p)
     p.add_argument("--N", required=True, type=_int_list,
                    help="doubling mesh sizes, comma separated")
-    p.add_argument("--mode", choices=("exact", "two_mesh"), default="two_mesh",
+    p.add_argument("--mode", choices=_MEASURES, default="two_mesh",
                    help="error measure (default %(default)s)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--min-p", type=_band_arg, default=None,
@@ -315,7 +317,7 @@ def _build_parser():
     _add_problem_options(p)
     p.add_argument("--N", required=True, type=_int_list,
                    help="doubling mesh sizes, comma separated")
-    p.add_argument("--mode", choices=("exact", "two_mesh"), default="two_mesh",
+    p.add_argument("--mode", choices=_MEASURES, default="two_mesh",
                    help="error measure (default %(default)s)")
     p.add_argument("--eps-grid", type=_eps_grid_arg, default="default",
                    help="'default' or groups like '0.015625,0.25;0.0625,1'")
@@ -334,7 +336,6 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        args.mode = _mode_value(args.mode) if hasattr(args, "mode") else None
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -342,13 +343,13 @@ def main(argv=None):
     except ProblemValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (MeshError, MeshNestingError) as exc:
+    except MeshError as exc:
         print(f"mesh error: {exc}", file=sys.stderr)
         return EXIT_MESH
     except (SolveFailureError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ProblemFormatError, OracleUnavailableError, OSError, ValueError) as exc:
+    except (ProblemFormatError, OracleUnavailableError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

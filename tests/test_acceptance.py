@@ -13,8 +13,6 @@ import pytest
 
 import cases
 from layerode import (
-    MODE_EXACT,
-    MODE_TWO_MESH,
     SolutionGrid,
     build_mesh,
     bisect_mesh,
@@ -26,6 +24,7 @@ from layerode import (
     interaction_points,
     march,
     solve,
+    two_mesh_difference,
     uniform_sweep,
     validate,
 )
@@ -46,7 +45,7 @@ def _criterion(num, description, ok, detail):
 def oracle_sweep():
     template = cases.constant_two_scale()
     start = time.perf_counter()
-    report = uniform_sweep(template, default_eps_grid(2), SWEEP_N, MODE_EXACT)
+    report = uniform_sweep(template, default_eps_grid(2), SWEEP_N, exact_error)
     return report, time.perf_counter() - start
 
 
@@ -83,7 +82,7 @@ def test_criterion_2_constant_fit_stability(oracle_sweep):
 
 def test_criterion_3_two_mesh_variable_coefficients():
     template = cases.variable_three_scale()
-    report = uniform_sweep(template, default_eps_grid(3), SWEEP_N, MODE_TWO_MESH)
+    report = uniform_sweep(template, default_eps_grid(3), SWEEP_N, two_mesh_difference)
     uniform_p = [row.p for row in report.uniform_rows if row.p is not None]
     ok = all(p >= P_UNIFORM_FLOOR for p in uniform_p)
     _criterion(3, "two-mesh sweep is robustly first order", ok,

@@ -267,6 +267,34 @@ def test_sweep_band_gate(tmp_path, capsys):
     capsys.readouterr()
 
 
+# The closed form overflows inside matrix_exponential at these scales, and
+# numpy warns about it on the way.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_study_error_exits_6(tmp_path, capsys):
+    # its orders would be nan, and nan < band is False: the gate would pass
+    path = _write_problem(tmp_path, cases.constant_two_scale())
+    args = [
+        "sweep", "--problem", path, "--N", "16,32", "--mode", "exact",
+        "--eps-grid", "1e-300,1e-200", "--min-p-uniform", "0.7",
+    ]
+    assert main(args) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical error: error at N=16 is not finite\n"
+
+
+@pytest.mark.parametrize("command", ["mesh", "solve"])
+def test_mesh_too_large_for_memory_exits_2(capsys, command):
+    # 2^60 intervals ask numpy for exbibytes, which it refuses before
+    # touching any memory
+    source = PROBLEMS_DIR / "constant_two_scale.json"
+    assert main([command, "--problem", str(source), "--N", str(2 ** 60)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command,flag", [
     ("converge", "--min-p"),
     ("sweep", "--min-p-uniform"),
@@ -369,7 +397,7 @@ def test_linalg_error_exits_6(capsys, monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr("layerode.cli.march", singular)
+    monkeypatch.setattr("layerode.cli.solve", singular)
     source = PROBLEMS_DIR / "constant_two_scale.json"
     assert main(["solve", "--problem", str(source), "--N", "16"]) == EXIT_NUMERICAL
     assert capsys.readouterr().err == "numerical error: Singular matrix\n"
