@@ -8,51 +8,10 @@ measures maximum-norm errors and convergence orders, including worst-case
 orders over parameter grids.
 """
 
-from .analysis import (
-    ConvergenceReport,
-    ConvergenceRow,
-    OracleUnavailableError,
-    SweepReport,
-    convergence_study,
-    default_eps_grid,
-    eps_label,
-    exact_constant_solution,
-    exact_error,
-    matrix_exponential,
-    order_rows,
-    two_mesh_difference,
-    uniform_sweep,
-)
-from .mesh import (
-    MeshError,
-    ShishkinMesh,
-    bisect_mesh,
-    build_mesh,
-    interaction_points,
-)
-from .problem import (
-    ProblemFormatError,
-    ProblemSpec,
-    ProblemValidationError,
-    ValidatedProblem,
-    load_problem,
-    problem_from_dict,
-    problem_to_dict,
-    sample_A,
-    sample_f,
-    validate,
-)
-from .solver import (
-    DecomposedSolution,
-    SolutionGrid,
-    SolveFailureError,
-    StabilityCertificate,
-    certify_max_principle,
-    certify_stability,
-    decompose,
-    march,
-    solve,
-    step_matrices,
-)
+# Each module's __all__ is the one list of its public names.
+from .analysis import *
+from .mesh import *
+from .problem import *
+from .solver import *
 
 __version__ = "0.1.0"

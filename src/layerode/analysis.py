@@ -14,7 +14,7 @@ is the empirical signature of that rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -141,10 +141,11 @@ class ConvergenceReport:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Per-parameter reports plus worst-case rows over the whole grid."""
+    """Per-parameter reports plus the uniform rows: for each N, the worst
+    error over the whole grid."""
 
     reports: tuple
-    uniform_rows: tuple
+    uniform: tuple
 
 
 def order_rows(n_values, errors):
@@ -245,7 +246,7 @@ def uniform_sweep(template, eps_grid, n_values, error):
         raise ValueError("empty eps grid")
     n_values = [int(v) for v in n_values]
     reports = tuple(
-        convergence_study(validate(template.with_eps(eps)), n_values, error)
+        convergence_study(validate(replace(template, eps=eps)), n_values, error)
         for eps in grid
     )
     worst = [
@@ -254,5 +255,5 @@ def uniform_sweep(template, eps_grid, n_values, error):
     ]
     return SweepReport(
         reports=reports,
-        uniform_rows=order_rows(n_values, worst),
+        uniform=order_rows(n_values, worst),
     )

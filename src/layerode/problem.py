@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -191,10 +191,6 @@ class ProblemSpec:
     def has_constant_coefficients(self):
         return not any(any(p[1:]) for row in (*self.A, self.f) for p in row)
 
-    def with_eps(self, eps):
-        """Same problem at a different point of the parameter space."""
-        return replace(self, eps=eps)
-
 
 @dataclass(frozen=True)
 class ValidatedProblem:
@@ -204,11 +200,18 @@ class ValidatedProblem:
     alpha: float
 
 
-def _check_times(spec, ts):
+def _sample(spec, entries, ts):
+    """Each polynomial of entries at each time of ts; shape (len(ts),
+    len(entries)). Times outside [0, T] raise ValueError."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if ts.size and (float(ts.min()) < 0.0 or float(ts.max()) > spec.T):
         raise ValueError(
             f"times outside the problem domain [0, {spec.T!r}]"
         )
+    out = np.empty((ts.size, len(entries)))
+    for k, p in enumerate(entries):
+        out[:, k] = npoly.polyval(ts, p)
+    return out
 
 
 def sample_A(spec, ts):
@@ -217,24 +220,14 @@ def sample_A(spec, ts):
     Returns shape (len(ts), n, n); a scalar time counts as one time, so
     sample_A(spec, t)[0] is A(t). Times outside [0, T] raise ValueError.
     """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    _check_times(spec, ts)
-    out = np.empty((ts.size, spec.n, spec.n))
-    for i, row in enumerate(spec.A):
-        for j, p in enumerate(row):
-            out[:, i, j] = npoly.polyval(ts, p)
-    return out
+    out = _sample(spec, [p for row in spec.A for p in row], ts)
+    return out.reshape(-1, spec.n, spec.n)
 
 
 def sample_f(spec, ts):
     """Forcing at one time or an array of times; shape (len(ts), n), with a
     scalar time counting as one time as in sample_A."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    _check_times(spec, ts)
-    out = np.empty((ts.size, spec.n))
-    for i, p in enumerate(spec.f):
-        out[:, i] = npoly.polyval(ts, p)
-    return out
+    return _sample(spec, spec.f, ts)
 
 
 def _critical_times(coeffs, T):
@@ -282,7 +275,8 @@ def validate(spec):
             t=float(ts[s]),
         )
     sums = a.sum(axis=2)
-    bad = np.argwhere(sums <= 0.0)
+    # written so that a row sum that is not a number (inf - inf) fails too
+    bad = np.argwhere(~(sums > 0.0))
     if bad.size:
         s, i = (int(v) for v in bad[0])
         raise ProblemValidationError(

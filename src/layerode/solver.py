@@ -169,8 +169,8 @@ def march(vp, mesh, u_init):
     system it solves, in one vectorized pass: the residual guard requires
     |M_j U_j - b_j| <= STEP_RESIDUAL_RTOL * (1 + |b_j|) in the maximum norm,
     with b_j = diag(eps)/delta_j U_{j-1} + f(t_j), and the first step that
-    fails it raises SolveFailureError. The tolerance is the module
-    constant, read at call time.
+    fails it or has a non-finite residual raises SolveFailureError. The
+    tolerance is the module constant, read at call time.
 
     Parameters
     ----------
@@ -207,14 +207,15 @@ def march(vp, mesh, u_init):
 
     b = ed * values[:-1] + f
     residual = np.abs(np.einsum("jik,jk->ji", m, values[1:]) - b).max(axis=1)
-    failed = np.flatnonzero(residual > STEP_RESIDUAL_RTOL * (1.0 + np.abs(b).max(axis=1)))
+    tol = STEP_RESIDUAL_RTOL * (1.0 + np.abs(b).max(axis=1))
+    # A non-finite U_j or b_j gives a non-finite residual, which fails even
+    # where it is nan (nan > tol is False) or the tolerance is infinite too.
+    failed = np.flatnonzero(~np.isfinite(residual) | (residual > tol))
     if failed.size:
         j = int(failed[0])
         raise SolveFailureError(
             "step %d solve residual %.3e exceeds tolerance" % (j + 1, residual[j])
         )
-    if not np.isfinite(values).all():
-        raise SolveFailureError("non-finite values in the computed grid")
     values.setflags(write=False)
     return SolutionGrid(problem=vp, mesh=mesh, values=values)
 

@@ -51,7 +51,7 @@ def oracle_sweep():
 
 def test_criterion_1_oracle_convergence(oracle_sweep):
     report, elapsed = oracle_sweep
-    uniform_p = [row.p for row in report.uniform_rows if row.p is not None]
+    uniform_p = [row.p for row in report.uniform if row.p is not None]
     config_p = [
         row.p
         for rep in report.reports
@@ -83,7 +83,7 @@ def test_criterion_2_constant_fit_stability(oracle_sweep):
 def test_criterion_3_two_mesh_variable_coefficients():
     template = cases.variable_three_scale()
     report = uniform_sweep(template, default_eps_grid(3), SWEEP_N, two_mesh_difference)
-    uniform_p = [row.p for row in report.uniform_rows if row.p is not None]
+    uniform_p = [row.p for row in report.uniform if row.p is not None]
     ok = all(p >= P_UNIFORM_FLOOR for p in uniform_p)
     _criterion(3, "two-mesh sweep is robustly first order", ok,
                "p_uniform=%s" % ["%.3f" % p for p in uniform_p])

@@ -199,10 +199,10 @@ def test_uniform_sweep_rows_take_worst_error():
     template = cases.constant_two_scale()
     grid = [(1e-4, 1e-2), (0.0625, 0.25)]
     sweep = uniform_sweep(template, grid, [16, 32], exact_error)
-    for k, row in enumerate(sweep.uniform_rows):
+    for k, row in enumerate(sweep.uniform):
         worst = max(report.rows[k].error for report in sweep.reports)
         assert row.error == worst
     # each report is the study `converge` runs for that parameter choice
     for eps, report in zip(sorted(grid), sweep.reports):
-        vp = validate(template.with_eps(eps))
+        vp = validate(replace(template, eps=eps))
         assert report == convergence_study(vp, [16, 32], exact_error)

@@ -1,5 +1,6 @@
 """Public names: every export resolves, the package exports nothing that
-its modules do not list, and no module imports a name it never uses."""
+its modules do not list, and no module or test file imports a name it never
+uses."""
 
 import ast
 import inspect
@@ -31,12 +32,12 @@ def test_package_names_come_from_module_exports():
 SOURCES = sorted(
     path for path in Path(layerode.__file__).parent.glob("*.py")
     if path.name != "__init__.py"
-)
+) + sorted(Path(__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    # __init__.py imports only to re-export, so it is left out.
+    # __init__.py only re-exports the modules' __all__, so it is left out.
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):

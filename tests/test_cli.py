@@ -72,9 +72,14 @@ def test_validate_rejects_bad_sign_with_exit_3(tmp_path, capsys):
 
 
 def test_missing_problem_file_is_a_usage_error(tmp_path, capsys):
-    missing = str(tmp_path / "nope.json")
-    assert main(["validate", "--problem", missing]) == EXIT_PARSE
-    capsys.readouterr()
+    # a missing file and a directory each give the one line of open()'s error
+    for path in (str(tmp_path / "nope.json"), str(tmp_path)):
+        assert main(["validate", "--problem", path]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno ")
+        assert captured.err.endswith(": '%s'\n" % path)
+        assert captured.err.count("\n") == 1
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):
@@ -233,6 +238,26 @@ def test_sweep_uniform_rows_and_custom_grid(tmp_path, capsys):
     assert len([row for row in rows[1:] if row[0] == "uniform"]) == 2
 
 
+def test_sweep_json_payload(tmp_path, capsys):
+    path = _write_problem(tmp_path, cases.constant_two_scale())
+    args = [
+        "sweep", "--problem", path, "--N", "16,32", "--mode", "exact",
+        "--eps-grid", "0.0001,0.01;0.0625,0.25", "--json",
+    ]
+    assert main(args) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["mode", "reports", "uniform"]
+    assert payload["mode"] == "exact_oracle"
+    assert [report["eps_label"] for report in payload["reports"]] == ["0.0001,0.01", "2^-4,2^-2"]
+    for rows in [report["rows"] for report in payload["reports"]] + [payload["uniform"]]:
+        assert [list(row) for row in rows] == [["N", "error", "p", "c_fit"]] * 2
+        assert [row["N"] for row in rows] == [16, 32]
+        assert rows[1]["p"] is None
+    assert payload["uniform"][0]["error"] == max(
+        report["rows"][0]["error"] for report in payload["reports"]
+    )
+
+
 def test_sweep_jobs_do_not_change_output(tmp_path, capsys):
     path = _write_problem(tmp_path, cases.constant_two_scale())
     args = [
@@ -267,11 +292,10 @@ def test_sweep_band_gate(tmp_path, capsys):
     capsys.readouterr()
 
 
-# The closed form overflows inside matrix_exponential at these scales, and
-# numpy warns about it on the way.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_study_error_exits_6(tmp_path, capsys):
-    # its orders would be nan, and nan < band is False: the gate would pass
+    # its orders would be nan, and nan < band is False: the gate would pass;
+    # the closed form overflows inside matrix_exponential at these scales,
+    # and numpy's warnings about that must not reach stderr
     path = _write_problem(tmp_path, cases.constant_two_scale())
     args = [
         "sweep", "--problem", path, "--N", "16,32", "--mode", "exact",
@@ -281,6 +305,47 @@ def test_non_finite_study_error_exits_6(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "numerical error: error at N=16 is not finite\n"
+
+
+# (problem file data, arguments after --problem FILE, exit code, the one
+# stderr line); numpy warns while computing each, and none of that may
+# reach stderr
+NON_FINITE_CASES = [
+    ({**problem_to_dict(cases.constant_two_scale()), "u0": [1e308, 1e308]},
+     ["solve", "--N", "16"], EXIT_NUMERICAL,
+     "numerical error: step 1 solve residual nan exceeds tolerance\n"),
+    ({"n": 2, "T": 10.0, "eps": [0.0001, 0.01], "u0": [0, 0],
+      "A": [[[3, 0, 1e308], [-1, 0, -1e308]], [-1, 3]], "f": [2, 2]},
+     ["validate", "--json"], EXIT_VALIDATION,
+     "validation error: row 1 of the coefficient matrix is not strictly diagonally "
+     "dominant at t=10 (row sum, a_ii - sum_j |a_ij|, is nan)\n"),
+]
+
+
+@pytest.mark.parametrize("data,args,code,err", NON_FINITE_CASES,
+                         ids=["overflowing_u0", "nan_row_sum"])
+def test_non_finite_values_fail_closed(tmp_path, capsys, data, args, code, err):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main([args[0], "--problem", str(path)] + args[1:]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
+@pytest.mark.parametrize("args", [
+    ["mesh", "--N", "x"],
+    ["converge", "--N", "16,x"],
+    ["converge", "--N", ","],
+    ["sweep", "--N", "16,32", "--eps-grid", "0.1,a"],
+    ["converge", "--N", "16,32", "--min-p", "zz"],
+], ids=["N", "N_list", "N_empty", "eps_grid", "min_p"])
+def test_malformed_option_text_exits_2(capsys, args):
+    source = PROBLEMS_DIR / "constant_two_scale.json"
+    assert main([args[0], "--problem", str(source)] + args[1:]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --" in captured.err
 
 
 @pytest.mark.parametrize("command", ["mesh", "solve"])

@@ -169,6 +169,21 @@ def test_offdiagonal_positive_between_samples_rejected():
     assert abs(err.value.t - c) <= 1e-6
 
 
+# Entries (1,1) = 3 + 1e308 t^2 and (1,2) = -1 - 1e308 t^2 overflow at
+# t = 10 (and numpy warns on the way), so the sampled row sum there is
+# inf - inf = nan; the row sum polynomial itself is 2.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_row_sum_that_is_not_a_number_rejected():
+    spec = problem_from_dict({
+        "n": 2, "T": 10.0, "eps": [1e-4, 1e-2], "u0": [0, 0],
+        "A": [[[3, 0, 1e308], [-1, 0, -1e308]], [-1, 3]], "f": [2, 2],
+    })
+    with pytest.raises(ProblemValidationError) as err:
+        validate(spec)
+    assert err.value.condition == "row-dominance"
+    assert (err.value.row, err.value.t) == (1, 10.0)
+
+
 def test_short_horizon_rejected():
     spec = replace(cases.constant_two_scale(eps=(0.5, 1.0)), T=0.25)
     with pytest.raises(ProblemValidationError) as err:
@@ -291,10 +306,35 @@ def test_load_problem_rejects_bad_json(tmp_path):
     path.write_text("{", encoding="utf-8")
     with pytest.raises(ProblemFormatError):
         load_problem(path)
+    path.write_text("[1, 2]", encoding="utf-8")
+    with pytest.raises(ProblemFormatError, match="must be a JSON object"):
+        load_problem(path)
 
 
-def test_with_eps_replaces_only_parameters():
+# Edits of constant_two_scale (n = 2) whose sizes do not fit n, or whose
+# horizon is not positive.
+SHAPE_EDITS = [
+    ("A", [[3.0, -1.0]], "coefficient matrix must be 2x2"),
+    ("A", [[3.0], [-1.0, 3.0]], "coefficient matrix must be 2x2"),
+    ("f", [2.0], "forcing must have 2 components"),
+    ("u0", [0.0, 0.0, 0.0], "initial value must have 2 components"),
+    ("eps", [0.5], "expected 2 perturbation parameters, got 1"),
+    ("T", 0.0, "horizon T must be positive"),
+    ("T", -1.0, "horizon T must be positive"),
+]
+
+
+@pytest.mark.parametrize("key,value,message", SHAPE_EDITS,
+                         ids=["A_rows", "A_cols", "f", "u0", "eps", "T_zero", "T_negative"])
+def test_sizes_must_match_n(key, value, message):
+    data = problem_to_dict(cases.constant_two_scale())
+    data[key] = value
+    with pytest.raises(ProblemFormatError, match=message):
+        problem_from_dict(data)
+
+
+def test_replace_eps_changes_only_parameters():
     spec = cases.constant_two_scale()
-    moved = spec.with_eps((0.125, 0.5))
+    moved = replace(spec, eps=(0.125, 0.5))
     assert moved.eps == (0.125, 0.5)
     assert moved.A == spec.A and moved.T == spec.T

@@ -325,6 +325,15 @@ def test_zero_residual_tolerance_trips_the_guard(monkeypatch):
         march(vp, mesh, vp.spec.u0)
 
 
+# b_j = diag(eps)/delta_j U_{j-1} + f overflows, so the residual of step 1
+# is nan (nan > tol is False); numpy warns about the overflow on the way.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_residual_trips_the_guard():
+    vp = _validated(replace(cases.constant_two_scale(), u0=(1e308, 1e308)))
+    with pytest.raises(SolveFailureError, match=r"^step 1 solve residual nan"):
+        solve(vp, 16)
+
+
 @pytest.mark.parametrize("name, spec", [
     ("constant_two_scale", cases.constant_two_scale()),
     ("variable_three_scale", cases.variable_three_scale()),
