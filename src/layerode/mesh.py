@@ -160,16 +160,18 @@ def interaction_points(vp):
     Keys are 1-based pairs i < j; t = ln(eps_j/eps_i) / (alpha (1/eps_i -
     1/eps_j)) is where exp(-alpha t / eps_i) / eps_i meets
     exp(-alpha t / eps_j) / eps_j, with the problem's eps and extracted
-    alpha. Every time must be positive and the times must increase in both
-    indices; either failing raises MeshError.
+    alpha. It is evaluated as eps_i eps_j ln(1 + g/eps_i) / (alpha g) with
+    g = eps_j - eps_i, which neither cancels nor divides by zero when the
+    two scales are adjacent floats. Every time must be positive and the
+    times must increase in both indices; either failing raises MeshError.
     """
     eps, alpha = vp.spec.eps, vp.alpha
     n = len(eps)
     values = {}
     for i in range(n):
         for j in range(i + 1, n):
-            t = math.log(eps[j] / eps[i]) / (alpha * (1.0 / eps[i] - 1.0 / eps[j]))
-            values[(i + 1, j + 1)] = t
+            g = eps[j] - eps[i]
+            values[(i + 1, j + 1)] = eps[i] * eps[j] * math.log1p(g / eps[i]) / (alpha * g)
     for (i, j), t in values.items():
         if not t > 0.0:
             raise MeshError("crossing time (%d,%d) is not positive" % (i, j))

@@ -1,12 +1,12 @@
 """Problem data for stiff linear systems E u' + A(t) u = f(t) on [0, T].
 
 Matrix and forcing entries are polynomials in t, held as tuples of ascending
-coefficients and evaluated only by sample_A and sample_f. That keeps the file
-format trivial and makes admissibility exact: each extremum on [0, T] sits
-at an endpoint or at a root of the derivative. Validation establishes the
-sign and dominance structure of A(t) that the stepping operator's
-monotonicity relies on, and extracts the decay rate alpha, the infimum of the
-row sums, used to place mesh transition points.
+coefficients and evaluated by sample_A, sample_f and validate. That keeps
+the file format trivial and makes admissibility exact: each extremum on
+[0, T] sits at an endpoint or at a root of the derivative. Validation
+establishes the sign and dominance structure of A(t) that the stepping
+operator's monotonicity relies on, and extracts the decay rate alpha, the
+infimum of the row sums, used to place mesh transition points.
 """
 
 from __future__ import annotations
@@ -245,36 +245,35 @@ def validate(spec):
     Verifies that every off-diagonal entry is nonpositive and every row sum
     positive on the whole interval, takes alpha as the infimum of the row
     sums, and checks that the horizon covers the slowest layer
-    (T >= 2 max(eps) / alpha). Entries are polynomials, so A(t) is
-    evaluated at both endpoints and at every critical point of each
-    off-diagonal entry and each row sum; those times hold every extremum
-    the checks need. Under the sign condition a row sum equals
-    a_ii - sum_{j != i} |a_ij|, so a positive row sum is strict row
-    dominance. A violation reports the earliest of those times at which it
-    shows.
+    (T >= 2 max(eps) / alpha). Each off-diagonal entry and each row sum is
+    a polynomial, evaluated as such at both endpoints and at every critical
+    point of any of them; those times hold every extremum the checks need.
+    A row sum is never added up from sampled entries, so entries that
+    cancel, or overflow in double, do not disturb it. Under the sign
+    condition a row sum equals a_ii - sum_{j != i} |a_ij|, so a positive
+    row sum is strict row dominance. A violation reports the earliest of
+    those times at which it shows.
     """
-    off_entries = [p for i, row in enumerate(spec.A)
-                   for j, p in enumerate(row) if i != j]
+    pairs = [(i, j) for i in range(spec.n) for j in range(spec.n) if i != j]
+    off_entries = [spec.A[i][j] for i, j in pairs]
     row_sums = [reduce(npoly.polyadd, row) for row in spec.A]
     ts = np.unique(np.concatenate(
         [[0.0, spec.T]] + [_critical_times(c, spec.T) for c in off_entries + row_sums]
     ))
-    a = sample_A(spec, ts)
-    idx = np.arange(spec.n)
-    off = a.copy()
-    off[:, idx, idx] = 0.0
+    off = _sample(spec, off_entries, ts)
     bad = np.argwhere(off > 0.0)
     if bad.size:
-        s, i, j = (int(v) for v in bad[0])
+        s, k = (int(v) for v in bad[0])
+        i, j = pairs[k]
         raise ProblemValidationError(
             "off-diagonal-sign",
             "entry (%d,%d) of the coefficient matrix is positive (%.6g) at t=%.6g"
-            % (i + 1, j + 1, off[s, i, j], ts[s]),
+            % (i + 1, j + 1, off[s, k], ts[s]),
             row=i + 1,
             col=j + 1,
             t=float(ts[s]),
         )
-    sums = a.sum(axis=2)
+    sums = _sample(spec, row_sums, ts)
     # written so that a row sum that is not a number (inf - inf) fails too
     bad = np.argwhere(~(sums > 0.0))
     if bad.size:

@@ -93,41 +93,39 @@ def step_matrices(vp, mesh):
     return m
 
 
-def _affine_recurrence(inverses, ed, f, u):
+def _affine_recurrence(p, q, u):
     """Run U_j = P_j U_{j-1} + q_j from U_0 = u; row j of the result is U_j.
 
-    inverses holds M_j^-1 and is scaled in place into P_j; q_j = M_j^-1 f_j.
+    p holds the maps P_j, shape (N, n, n), and is overwritten; q holds the
+    offsets q_j, shape (N, n).
 
     The recurrence is a blocked scan. The steps are cut into N // B blocks
     of B = isqrt(N) steps, plus one block of the N % B steps left over.
     Within every block the prefix maps U -> S_i U + c_i are composed in
-    place, S_i in inverses and c_i in the result, vectorized across blocks
-    in B - 1 iterations. The block ends are then carried across the blocks,
+    place, S_i in p and c_i in the result, vectorized across blocks in
+    B - 1 iterations. The block ends are then carried across the blocks,
     one iteration per block, and each block's prefix maps are applied to
     its start value in one batched product.
 
-    P_j is nonnegative with row sums at most one, so every composed map is
-    a nonnegative contraction and the error stays relative to the solution,
-    also where it decays far below u. A scan of the offsets U_j - u would
-    not: their absolute error of order eps_mach |u| fails the residual guard
-    where the solution has decayed far below u and eps/delta is large. If
-    every step maps u exactly onto itself (a steady state), the result is u
-    bit for bit, as marching step by step gives; composed maps would round
-    it.
+    When P_j is nonnegative with row sums at most one, as in a march, every
+    composed map is a nonnegative contraction and the error stays relative
+    to the solution, also where it decays far below u. A scan of the offsets
+    U_j - u would not: their absolute error of order eps_mach |u| fails the
+    residual guard where the solution has decayed far below u and eps/delta
+    is large. If every step maps u exactly onto itself (a steady state),
+    the result is u bit for bit, as marching step by step gives; composed
+    maps would round it.
     """
-    N, n = ed.shape
-    values = np.empty((N + 1, n))
-    values[0] = u
-    np.einsum("jik,jk->ji", inverses, f, out=values[1:])
-    inverses *= ed[:, None, :]
-    if _is_steady(inverses, values[1:], u):
+    N, n = q.shape
+    values = np.vstack([u, q])
+    if _is_steady(p, q, u):
         values[1:] = u
         return values
 
     B = math.isqrt(N)
     K, t = divmod(N, B)
-    p, c = inverses[:K * B].reshape(K, B, n, n), values[1:K * B + 1].reshape(K, B, n)
-    tail_p, tail_c = inverses[K * B:][None], values[K * B + 1:][None]
+    tail_p, tail_c = p[K * B:][None], values[K * B + 1:][None]
+    p, c = p[:K * B].reshape(K, B, n, n), values[1:K * B + 1].reshape(K, B, n)
     for i in range(1, B):
         _compose(p, c, i)
         if i < t:
@@ -203,7 +201,10 @@ def march(vp, mesh, u_init):
     ed = np.asarray(spec.eps) / mesh.deltas[:, None]
     m = step_matrices(vp, mesh)
     f = sample_f(spec, mesh.points[1:])
-    values = _affine_recurrence(np.linalg.inv(m), ed, f, u)
+    p = np.linalg.inv(m)
+    q = np.einsum("jik,jk->ji", p, f)
+    p *= ed[:, None, :]
+    values = _affine_recurrence(p, q, u)
 
     b = ed * values[:-1] + f
     residual = np.abs(np.einsum("jik,jk->ji", m, values[1:]) - b).max(axis=1)

@@ -155,8 +155,12 @@ def test_order_rows_absent_on_vanishing_errors():
 
 def test_convergence_study_validates_input():
     vp = validate(cases.steady_scalar())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must double"):
         convergence_study(vp, [16, 24], two_mesh_difference)
+    with pytest.raises(ValueError, match="need at least one mesh size"):
+        convergence_study(vp, [], two_mesh_difference)
+    with pytest.raises(ValueError, match="empty eps grid"):
+        uniform_sweep(vp.spec, [], [16, 32], two_mesh_difference)
     with pytest.raises(OracleUnavailableError):
         convergence_study(validate(cases.variable_three_scale()), [16, 32], exact_error)
 
@@ -193,6 +197,8 @@ def test_default_grid_shape():
     assert (0.25, 1.0) in grid
     assert (2.0 ** -28, 2.0 ** -18) in grid
     assert len(default_eps_grid(1)) == 7
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        default_eps_grid(0)
 
 
 def test_uniform_sweep_rows_take_worst_error():

@@ -1,9 +1,11 @@
 """Public names: every export resolves, the package exports nothing that
-its modules do not list, and no module or test file imports a name it never
-uses."""
+its modules do not list, no module or test file imports a name it never
+uses, and the package imports nothing beyond the standard library and
+numpy."""
 
 import ast
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +49,20 @@ def test_no_unused_imports(path):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+PACKAGE_SOURCES = sorted(Path(layerode.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", PACKAGE_SOURCES, ids=lambda p: p.name)
+def test_package_imports_only_stdlib_and_numpy(path):
+    # numpy is the one declared dependency; scipy, say, may be installed
+    # but must not be imported.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    assert sorted(roots - set(sys.stdlib_module_names) - {"numpy"}) == []

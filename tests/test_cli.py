@@ -15,6 +15,8 @@ import layerode
 from layerode import (
     build_mesh,
     decompose,
+    default_eps_grid,
+    eps_label,
     load_problem,
     problem_to_dict,
     solve,
@@ -238,6 +240,16 @@ def test_sweep_uniform_rows_and_custom_grid(tmp_path, capsys):
     assert len([row for row in rows[1:] if row[0] == "uniform"]) == 2
 
 
+def test_sweep_runs_the_default_grid(tmp_path, capsys):
+    path = _write_problem(tmp_path, cases.constant_two_scale())
+    assert main(["sweep", "--problem", path, "--N", "16,32"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("# mode = two_mesh\n")
+    labels = [row[0] for row in _rows(out)[1:]]
+    expected = sorted(default_eps_grid(2))
+    assert labels == [eps_label(eps) for eps in expected for _ in (16, 32)] + ["uniform"] * 2
+
+
 def test_sweep_json_payload(tmp_path, capsys):
     path = _write_problem(tmp_path, cases.constant_two_scale())
     args = [
@@ -309,21 +321,22 @@ def test_non_finite_study_error_exits_6(tmp_path, capsys):
 
 # (problem file data, arguments after --problem FILE, exit code, the one
 # stderr line); numpy warns while computing each, and none of that may
-# reach stderr
+# reach stderr. The second problem is admissible (its first row sum is
+# exactly 2), but its entries of order 1e308 t^2 overflow in the step
+# matrices.
 NON_FINITE_CASES = [
     ({**problem_to_dict(cases.constant_two_scale()), "u0": [1e308, 1e308]},
      ["solve", "--N", "16"], EXIT_NUMERICAL,
      "numerical error: step 1 solve residual nan exceeds tolerance\n"),
     ({"n": 2, "T": 10.0, "eps": [0.0001, 0.01], "u0": [0, 0],
       "A": [[[3, 0, 1e308], [-1, 0, -1e308]], [-1, 3]], "f": [2, 2]},
-     ["validate", "--json"], EXIT_VALIDATION,
-     "validation error: row 1 of the coefficient matrix is not strictly diagonally "
-     "dominant at t=10 (row sum, a_ii - sum_j |a_ij|, is nan)\n"),
+     ["solve", "--N", "16"], EXIT_NUMERICAL,
+     "numerical error: step 1 solve residual 2.000e+00 exceeds tolerance\n"),
 ]
 
 
 @pytest.mark.parametrize("data,args,code,err", NON_FINITE_CASES,
-                         ids=["overflowing_u0", "nan_row_sum"])
+                         ids=["overflowing_u0", "overflowing_A"])
 def test_non_finite_values_fail_closed(tmp_path, capsys, data, args, code, err):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -331,6 +344,24 @@ def test_non_finite_values_fail_closed(tmp_path, capsys, data, args, code, err):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == err
+
+
+def test_cancelling_entries_validate_exactly(tmp_path, capsys):
+    # The first row sum is the polynomial 1, although its sampled entries
+    # 1 + 1e17 and -1e17 sum to 0 at t = 1. With entries of order 1e17 the
+    # step solves lose more than the residual guard allows, so solve fails
+    # closed.
+    data = {**problem_to_dict(cases.constant_two_scale()),
+            "A": [[[1, 0, 1e17], [0, 0, -1e17]], [-1, 3]]}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["validate", "--problem", str(path)]) == EXIT_OK
+    assert capsys.readouterr() == ("alpha = 1\n", "")
+    assert main(["solve", "--problem", str(path), "--N", "16"]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical error: step ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("args", [

@@ -98,6 +98,16 @@ def test_crossing_time_closed_form():
     assert points[(1, 2)] == pytest.approx(math.log(4.0) / 48.0, rel=1e-15)
 
 
+def test_crossing_time_of_adjacent_scales():
+    # 1/eps_1 - 1/eps_2 rounds to 0 for these neighbouring floats; the
+    # crossing time tends to eps/alpha as the scales meet
+    eps = (0.9066351196001362, 0.9066351196001363)
+    assert math.nextafter(eps[0], 1.0) == eps[1]
+    t = interaction_points(cases.scaled_identity(eps, 2.0, 1.0))[(1, 2)]
+    assert math.isfinite(t) and t > 0.0
+    assert t == pytest.approx(eps[0] / 2.0, rel=1e-15)
+
+
 def test_crossing_times_increase_in_both_indices():
     eps = (2.0 ** -9, 2.0 ** -6, 2.0 ** -3, 2.0 ** -1)
     points = interaction_points(cases.scaled_identity(eps, 2.0, 1.0))

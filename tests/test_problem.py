@@ -169,19 +169,22 @@ def test_offdiagonal_positive_between_samples_rejected():
     assert abs(err.value.t - c) <= 1e-6
 
 
-# Entries (1,1) = 3 + 1e308 t^2 and (1,2) = -1 - 1e308 t^2 overflow at
-# t = 10 (and numpy warns on the way), so the sampled row sum there is
-# inf - inf = nan; the row sum polynomial itself is 2.
+# A row sum is its own polynomial, not the sum of the sampled entries. In
+# "cancel", entries (1,1) = 1 + 1e17 t^2 and (1,2) = -1e17 t^2 sum to 0 in
+# double at t = 1; in "overflow", (1,1) = 3 + 1e308 t^2 and
+# (1,2) = -1 - 1e308 t^2 overflow at t = 10 (numpy warns on the way), so
+# their sampled sum is inf - inf = nan. The row sums are exactly 1 and 2.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_row_sum_that_is_not_a_number_rejected():
+@pytest.mark.parametrize("row, T, alpha", [
+    ([[1, 0, 1e17], [0, 0, -1e17]], 1.0, 1.0),
+    ([[3, 0, 1e308], [-1, 0, -1e308]], 10.0, 2.0),
+], ids=["cancel", "overflow"])
+def test_row_sum_is_exact_where_entries_cancel_or_overflow(row, T, alpha):
     spec = problem_from_dict({
-        "n": 2, "T": 10.0, "eps": [1e-4, 1e-2], "u0": [0, 0],
-        "A": [[[3, 0, 1e308], [-1, 0, -1e308]], [-1, 3]], "f": [2, 2],
+        "n": 2, "T": T, "eps": [1e-4, 1e-2], "u0": [0, 0],
+        "A": [row, [-1, 3]], "f": [2, 2],
     })
-    with pytest.raises(ProblemValidationError) as err:
-        validate(spec)
-    assert err.value.condition == "row-dominance"
-    assert (err.value.row, err.value.t) == (1, 10.0)
+    assert validate(spec).alpha == alpha
 
 
 def test_short_horizon_rejected():
@@ -311,8 +314,9 @@ def test_load_problem_rejects_bad_json(tmp_path):
         load_problem(path)
 
 
-# Edits of constant_two_scale (n = 2) whose sizes do not fit n, or whose
-# horizon is not positive.
+# Edits of constant_two_scale (n = 2) whose sizes do not fit n, or are no
+# sizes at all (n = 0, a bare number for a sequence), or whose horizon is
+# not positive.
 SHAPE_EDITS = [
     ("A", [[3.0, -1.0]], "coefficient matrix must be 2x2"),
     ("A", [[3.0], [-1.0, 3.0]], "coefficient matrix must be 2x2"),
@@ -321,11 +325,16 @@ SHAPE_EDITS = [
     ("eps", [0.5], "expected 2 perturbation parameters, got 1"),
     ("T", 0.0, "horizon T must be positive"),
     ("T", -1.0, "horizon T must be positive"),
+    ("n", 0, "system size n must be at least 1"),
+    ("eps", 0.5, "perturbation parameters must be a sequence of numbers"),
+    ("eps", [], "at least one perturbation parameter is required"),
+    ("u0", 5, "malformed problem data"),
 ]
 
 
 @pytest.mark.parametrize("key,value,message", SHAPE_EDITS,
-                         ids=["A_rows", "A_cols", "f", "u0", "eps", "T_zero", "T_negative"])
+                         ids=["A_rows", "A_cols", "f", "u0", "eps", "T_zero", "T_negative",
+                              "n_zero", "eps_scalar", "eps_empty", "u0_scalar"])
 def test_sizes_must_match_n(key, value, message):
     data = problem_to_dict(cases.constant_two_scale())
     data[key] = value
