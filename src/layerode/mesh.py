@@ -162,7 +162,8 @@ def interaction_points(vp):
     exp(-alpha t / eps_j) / eps_j, with the problem's eps and extracted
     alpha. It is evaluated as eps_i eps_j ln(1 + g/eps_i) / (alpha g) with
     g = eps_j - eps_i, which neither cancels nor divides by zero when the
-    two scales are adjacent floats. Every time must be positive and the
+    two scales are adjacent floats; where g/eps_i overflows it takes
+    ln(eps_j) - ln(eps_i) instead. Every time must be positive and the
     times must increase in both indices; either failing raises MeshError.
     """
     eps, alpha = vp.spec.eps, vp.alpha
@@ -171,7 +172,10 @@ def interaction_points(vp):
     for i in range(n):
         for j in range(i + 1, n):
             g = eps[j] - eps[i]
-            values[(i + 1, j + 1)] = eps[i] * eps[j] * math.log1p(g / eps[i]) / (alpha * g)
+            log_ratio = math.log1p(g / eps[i])
+            if math.isinf(log_ratio):  # g / eps_i overflowed
+                log_ratio = math.log(eps[j]) - math.log(eps[i])
+            values[(i + 1, j + 1)] = eps[i] * eps[j] * log_ratio / (alpha * g)
     for (i, j), t in values.items():
         if not t > 0.0:
             raise MeshError("crossing time (%d,%d) is not positive" % (i, j))

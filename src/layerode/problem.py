@@ -21,7 +21,6 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 __all__ = [
-    "MAX_POLY_DEGREE",
     "ProblemFormatError",
     "ProblemValidationError",
     "ProblemSpec",
@@ -30,7 +29,6 @@ __all__ = [
     "sample_A",
     "sample_f",
     "problem_from_dict",
-    "problem_to_dict",
     "load_problem",
 ]
 
@@ -315,28 +313,9 @@ def problem_from_dict(data):
     if missing:
         raise ProblemFormatError("missing problem key(s): %s" % ", ".join(missing))
     try:
-        return ProblemSpec(
-            n=data["n"],
-            A=data["A"],
-            f=data["f"],
-            u0=data["u0"],
-            T=data["T"],
-            eps=data["eps"],
-        )
+        return ProblemSpec(**data)
     except TypeError as exc:
         raise ProblemFormatError(f"malformed problem data: {exc}") from exc
-
-
-def problem_to_dict(spec):
-    """Inverse of problem_from_dict, for round trips and report metadata."""
-    return {
-        "n": spec.n,
-        "T": spec.T,
-        "eps": list(spec.eps),
-        "u0": list(spec.u0),
-        "A": [[list(p) for p in row] for row in spec.A],
-        "f": [list(p) for p in spec.f],
-    }
 
 
 def load_problem(path):

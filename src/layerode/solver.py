@@ -25,9 +25,6 @@ from .mesh import build_mesh
 from .problem import ValidatedProblem, sample_A, sample_f
 
 __all__ = [
-    "STEP_RESIDUAL_RTOL",
-    "MAX_PRINCIPLE_RTOL",
-    "STABILITY_RTOL",
     "SolveFailureError",
     "SolutionGrid",
     "DecomposedSolution",
@@ -46,7 +43,10 @@ STABILITY_RTOL = 1e-10
 
 
 class SolveFailureError(RuntimeError):
-    """A step solve lost accuracy; cannot happen for validated problems."""
+    """A step residual is not finite or fails the guard, or a study error
+    is not finite. Validated problems can raise it: coefficients that
+    overflow in double, or entries of order 1e17 whose step solves lose
+    more than the guard allows."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,9 +70,6 @@ class DecomposedSolution:
 
     smooth: SolutionGrid
     singular: SolutionGrid
-
-    def total(self):
-        return self.smooth.values + self.singular.values
 
 
 @dataclass(frozen=True)
@@ -251,7 +248,7 @@ def certify_max_principle(grid):
 
     If the initial value and the forcing of grid.problem at every step are
     nonnegative, returns whether the grid stayed above -1e-12 * scale with
-    scale = max(1, largest magnitude on the grid). When the hypothesis does
+    scale = max(1, largest magnitude on the grid). When that premise does
     not hold the implication being certified is empty and the certificate
     returns True vacuously.
     """

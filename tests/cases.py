@@ -1,10 +1,13 @@
 """Shared problem builders and randomized generators for the test suite."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
-from layerode import ProblemSpec, validate
+from layerode import ProblemSpec, load_problem, validate
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def poly(*coeffs):
@@ -17,15 +20,9 @@ def constant_matrix(rows):
 
 
 def constant_two_scale(eps=(1e-4, 1e-2)):
-    """Symmetric constant pair with alpha = 2 and a nonzero steady state."""
-    return ProblemSpec(
-        n=2,
-        A=constant_matrix([[3.0, -1.0], [-1.0, 3.0]]),
-        f=(poly(2.0), poly(2.0)),
-        u0=(0.0, 0.0),
-        T=1.0,
-        eps=eps,
-    )
+    """problems/constant_two_scale.json: a symmetric constant pair with
+    alpha = 2 and a nonzero steady state."""
+    return replace(load_problem(PROBLEMS / "constant_two_scale.json"), eps=eps)
 
 
 def decoupled_identity(eps=(2.0 ** -6, 2.0 ** -2)):
@@ -67,21 +64,9 @@ def decay_scalar():
 
 
 def variable_three_scale(eps=(2.0 ** -8, 2.0 ** -4, 1.0)):
-    """Three coupled scales with time-varying diagonal; alpha = 2."""
-    diag = poly(4.0, 1.0)
-    off = poly(-1.0)
-    return ProblemSpec(
-        n=3,
-        A=(
-            (diag, off, off),
-            (off, diag, off),
-            (off, off, diag),
-        ),
-        f=(poly(1.0, 1.0), poly(0.0, 1.0), poly(2.0, -1.0)),
-        u0=(0.0, 0.0, 0.0),
-        T=1.0,
-        eps=eps,
-    )
+    """problems/variable_three_scale.json: three coupled scales with a
+    time-varying diagonal; alpha = 2."""
+    return replace(load_problem(PROBLEMS / "variable_three_scale.json"), eps=eps)
 
 
 def zero_forcing(spec):

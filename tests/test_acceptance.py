@@ -97,7 +97,7 @@ def test_criterion_4_discrete_superposition():
             mesh = build_mesh(vp, N)
             full = march(vp, mesh, vp.spec.u0)
             parts = decompose(vp, mesh)
-            gap = np.abs(full.values - parts.total()).max()
+            gap = np.abs(full.values - (parts.smooth.values + parts.singular.values)).max()
             worst = max(worst, gap / (1.0 + np.abs(full.values).max()))
     ok = worst <= 1e-10
     _criterion(4, "smooth + layer parts reproduce the solution", ok,

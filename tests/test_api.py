@@ -1,7 +1,7 @@
 """Public names: every export resolves, the package exports nothing that
 its modules do not list, no module or test file imports a name it never
-uses, and the package imports nothing beyond the standard library and
-numpy."""
+uses, the package imports nothing beyond the standard library and numpy,
+and the tests nothing beyond those, pytest and their own modules."""
 
 import ast
 import inspect
@@ -31,10 +31,17 @@ def test_package_names_come_from_module_exports():
     assert public - exported == set()
 
 
+def test_package_exports_no_constants():
+    # The modules read their own constants; a copy that the star import
+    # puts in the package would change nothing when rebound.
+    assert [name for name in vars(layerode) if name.isupper()] == []
+
+
+TEST_SOURCES = sorted(Path(__file__).parent.glob("*.py"))
 SOURCES = sorted(
     path for path in Path(layerode.__file__).parent.glob("*.py")
     if path.name != "__init__.py"
-) + sorted(Path(__file__).parent.glob("*.py"))
+) + TEST_SOURCES
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -54,10 +61,8 @@ def test_no_unused_imports(path):
 PACKAGE_SOURCES = sorted(Path(layerode.__file__).parent.glob("*.py"))
 
 
-@pytest.mark.parametrize("path", PACKAGE_SOURCES, ids=lambda p: p.name)
-def test_package_imports_only_stdlib_and_numpy(path):
-    # numpy is the one declared dependency; scipy, say, may be installed
-    # but must not be imported.
+def _third_party_imports(path):
+    # Top-level names of the absolute imports outside the standard library.
     tree = ast.parse(path.read_text(encoding="utf-8"))
     roots = set()
     for node in ast.walk(tree):
@@ -65,4 +70,18 @@ def test_package_imports_only_stdlib_and_numpy(path):
             roots.update(a.name.split(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             roots.add(node.module.split(".")[0])
-    assert sorted(roots - set(sys.stdlib_module_names) - {"numpy"}) == []
+    return roots - set(sys.stdlib_module_names)
+
+
+@pytest.mark.parametrize("path", PACKAGE_SOURCES, ids=lambda p: p.name)
+def test_package_imports_only_stdlib_and_numpy(path):
+    # numpy is the one declared dependency; scipy, say, may be installed
+    # but must not be imported.
+    assert sorted(_third_party_imports(path) - {"numpy"}) == []
+
+
+@pytest.mark.parametrize("path", TEST_SOURCES, ids=lambda p: p.name)
+def test_tests_import_only_stdlib_numpy_pytest_and_layerode(path):
+    # The [test] extra adds pytest alone; cases is the suite's own module.
+    allowed = {"numpy", "pytest", "layerode", "cases"}
+    assert sorted(_third_party_imports(path) - allowed) == []

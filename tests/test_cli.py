@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,6 @@ from layerode import (
     default_eps_grid,
     eps_label,
     load_problem,
-    problem_to_dict,
     solve,
     validate,
 )
@@ -35,13 +35,13 @@ from layerode.cli import (
     main,
 )
 
-PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
-PROBLEMS = sorted(PROBLEMS_DIR.glob("*.json"))
+PROBLEMS = sorted(cases.PROBLEMS.glob("*.json"))
 
 
-def _write_problem(tmp_path, spec, name="problem.json"):
-    path = tmp_path / name
-    path.write_text(json.dumps(problem_to_dict(spec)), encoding="utf-8")
+def _write_problem(tmp_path, spec, **edits):
+    # spec's JSON layout with the given keys replaced or added
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**asdict(spec), **edits}), encoding="utf-8")
     return str(path)
 
 
@@ -64,15 +64,6 @@ def test_validate_json_payload(tmp_path, capsys):
     assert payload["n"] == 3
 
 
-def test_validate_rejects_bad_sign_with_exit_3(tmp_path, capsys):
-    spec = problem_to_dict(cases.constant_two_scale())
-    spec["A"] = [[[3.0], [1.0]], [[-1.0], [3.0]]]
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(spec), encoding="utf-8")
-    assert main(["validate", "--problem", str(path)]) == EXIT_VALIDATION
-    assert "validation error" in capsys.readouterr().err
-
-
 def test_missing_problem_file_is_a_usage_error(tmp_path, capsys):
     # a missing file and a directory each give the one line of open()'s error
     for path in (str(tmp_path / "nope.json"), str(tmp_path)):
@@ -84,47 +75,16 @@ def test_missing_problem_file_is_a_usage_error(tmp_path, capsys):
         assert captured.err.count("\n") == 1
 
 
-def test_malformed_json_exits_2(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text("{", encoding="utf-8")
-    assert main(["validate", "--problem", str(path)]) == EXIT_PARSE
-    capsys.readouterr()
-
-
-def test_unknown_key_exits_2(tmp_path, capsys):
-    data = problem_to_dict(cases.steady_scalar())
-    data["plot"] = True
-    path = tmp_path / "extra.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
-    assert main(["validate", "--problem", str(path)]) == EXIT_PARSE
-    assert "plot" in capsys.readouterr().err
-
-
-def test_string_number_exits_2(tmp_path, capsys):
-    data = problem_to_dict(cases.constant_two_scale())
-    data["u0"] = "00"
-    path = tmp_path / "strings.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
-    assert main(["validate", "--problem", str(path)]) == EXIT_PARSE
-    assert "must be a number" in capsys.readouterr().err
-
-
-def test_bool_number_exits_2(tmp_path, capsys):
-    data = problem_to_dict(cases.constant_two_scale())
-    data["T"] = True
-    path = tmp_path / "bool.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
-    assert main(["validate", "--problem", str(path)]) == EXIT_PARSE
-    assert "horizon T must be a number, got True" in capsys.readouterr().err
-
-
-def test_fractional_system_size_exits_2(tmp_path, capsys):
-    data = problem_to_dict(cases.constant_two_scale())
-    data["n"] = 2.7
-    path = tmp_path / "fraction.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
-    assert main(["validate", "--problem", str(path)]) == EXIT_PARSE
-    assert "system size n must be an integer, got 2.7" in capsys.readouterr().err
+@pytest.mark.parametrize("key,value,message", [
+    ("plot", True, "unknown problem key(s): plot"),
+    ("u0", "00", "initial value must be a number, got '0'"),
+    ("T", True, "horizon T must be a number, got True"),
+    ("n", 2.7, "system size n must be an integer, got 2.7"),
+], ids=["unknown_key", "string_number", "bool_number", "fractional_system_size"])
+def test_malformed_problem_exits_2(tmp_path, capsys, key, value, message):
+    path = _write_problem(tmp_path, cases.constant_two_scale(), **{key: value})
+    assert main(["validate", "--problem", path]) == EXIT_PARSE
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
 
 
 def test_mesh_csv_round_trips_points(tmp_path, capsys):
@@ -143,10 +103,11 @@ def test_mesh_csv_round_trips_points(tmp_path, capsys):
     assert deltas == mesh.deltas.tolist()
 
 
-def test_mesh_unusable_n_exits_4(tmp_path, capsys):
-    path = _write_problem(tmp_path, cases.layer_two_scale())
-    assert main(["mesh", "--problem", path, "--N", "6"]) == EXIT_MESH
-    assert "mesh error" in capsys.readouterr().err
+def test_broken_mesh_geometry_exits_4(tmp_path, capsys):
+    # the problem of test_mesh::test_geometry_guard_rejects_repeated_points
+    path = _write_problem(tmp_path, cases.constant_two_scale(eps=(5e-324, 1.0)))
+    assert main(["mesh", "--problem", path, "--N", "64"]) == EXIT_MESH
+    assert capsys.readouterr() == ("", "mesh error: mesh points are not strictly increasing\n")
 
 
 def test_solve_csv_matches_library(tmp_path, capsys):
@@ -325,7 +286,7 @@ def test_non_finite_study_error_exits_6(tmp_path, capsys):
 # exactly 2), but its entries of order 1e308 t^2 overflow in the step
 # matrices.
 NON_FINITE_CASES = [
-    ({**problem_to_dict(cases.constant_two_scale()), "u0": [1e308, 1e308]},
+    ({**asdict(cases.constant_two_scale()), "u0": [1e308, 1e308]},
      ["solve", "--N", "16"], EXIT_NUMERICAL,
      "numerical error: step 1 solve residual nan exceeds tolerance\n"),
     ({"n": 2, "T": 10.0, "eps": [0.0001, 0.01], "u0": [0, 0],
@@ -351,13 +312,11 @@ def test_cancelling_entries_validate_exactly(tmp_path, capsys):
     # 1 + 1e17 and -1e17 sum to 0 at t = 1. With entries of order 1e17 the
     # step solves lose more than the residual guard allows, so solve fails
     # closed.
-    data = {**problem_to_dict(cases.constant_two_scale()),
-            "A": [[[1, 0, 1e17], [0, 0, -1e17]], [-1, 3]]}
-    path = tmp_path / "problem.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
-    assert main(["validate", "--problem", str(path)]) == EXIT_OK
+    path = _write_problem(tmp_path, cases.constant_two_scale(),
+                          A=[[[1, 0, 1e17], [0, 0, -1e17]], [-1, 3]])
+    assert main(["validate", "--problem", path]) == EXIT_OK
     assert capsys.readouterr() == ("alpha = 1\n", "")
-    assert main(["solve", "--problem", str(path), "--N", "16"]) == EXIT_NUMERICAL
+    assert main(["solve", "--problem", path, "--N", "16"]) == EXIT_NUMERICAL
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numerical error: step ")
@@ -372,7 +331,7 @@ def test_cancelling_entries_validate_exactly(tmp_path, capsys):
     ["converge", "--N", "16,32", "--min-p", "zz"],
 ], ids=["N", "N_list", "N_empty", "eps_grid", "min_p"])
 def test_malformed_option_text_exits_2(capsys, args):
-    source = PROBLEMS_DIR / "constant_two_scale.json"
+    source = cases.PROBLEMS / "constant_two_scale.json"
     assert main([args[0], "--problem", str(source)] + args[1:]) == EXIT_PARSE
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -383,7 +342,7 @@ def test_malformed_option_text_exits_2(capsys, args):
 def test_mesh_too_large_for_memory_exits_2(capsys, command):
     # 2^60 intervals ask numpy for exbibytes, which it refuses before
     # touching any memory
-    source = PROBLEMS_DIR / "constant_two_scale.json"
+    source = cases.PROBLEMS / "constant_two_scale.json"
     assert main([command, "--problem", str(source), "--N", str(2 ** 60)]) == EXIT_PARSE
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -455,23 +414,25 @@ def _bad_sign(text):
     return json.dumps(data)
 
 
-# (exit code, edit of the problem file text or None to use
-#  problems/constant_two_scale.json as is, arguments after --problem FILE,
-#  fault injected into the CLI)
+# (exit code, start of its one stderr line, edit of the problem file text
+#  or None to use problems/constant_two_scale.json as is, arguments after
+#  --problem FILE, fault injected into the CLI)
 EXIT_CASES = [
-    (EXIT_OK, None, ["validate"], None),
-    (EXIT_CERTIFICATE, None, ["solve", "--N", "16", "--certify"], _fail_certificate),
-    (EXIT_PARSE, lambda text: "{", ["validate"], None),
-    (EXIT_VALIDATION, _bad_sign, ["validate"], None),
-    (EXIT_MESH, None, ["mesh", "--N", "6"], None),
-    (EXIT_BAND, None, ["converge", "--N", "16,32", "--mode", "exact", "--min-p", "2.0"], None),
-    (EXIT_NUMERICAL, None, ["solve", "--N", "64"], _zero_residual_tolerance),
+    (EXIT_OK, "", None, ["validate"], None),
+    (EXIT_CERTIFICATE, "error: ", None, ["solve", "--N", "16", "--certify"], _fail_certificate),
+    (EXIT_PARSE, "error: ", lambda text: "{", ["validate"], None),
+    (EXIT_VALIDATION, "validation error: ", _bad_sign, ["validate"], None),
+    (EXIT_MESH, "mesh error: ", None, ["mesh", "--N", "6"], None),
+    (EXIT_BAND, "error: ", None,
+     ["converge", "--N", "16,32", "--mode", "exact", "--min-p", "2.0"], None),
+    (EXIT_NUMERICAL, "numerical error: ", None, ["solve", "--N", "64"],
+     _zero_residual_tolerance),
 ]
 
 
 def test_every_exit_code(tmp_path, capsys, monkeypatch):
-    source = PROBLEMS_DIR / "constant_two_scale.json"
-    for code, edit, args, fault in EXIT_CASES:
+    source = cases.PROBLEMS / "constant_two_scale.json"
+    for code, prefix, edit, args, fault in EXIT_CASES:
         path = source
         if edit is not None:
             path = tmp_path / "edited.json"
@@ -481,10 +442,11 @@ def test_every_exit_code(tmp_path, capsys, monkeypatch):
                 fault(patch)
             argv = [args[0], "--problem", str(path)] + args[1:]
             assert main(argv) == code, (code, args)
-        err = capsys.readouterr().err
-        assert (err == "") == (code == EXIT_OK), (code, err)
+        lines = capsys.readouterr().err.splitlines(keepends=True)
+        assert len(lines) == (code != EXIT_OK), (code, lines)
+        assert all(line.startswith(prefix) and line.endswith("\n") for line in lines), lines
     assert sorted(case[0] for case in EXIT_CASES) == list(range(7))
-    assert "step 1 solve residual" in err
+    assert "step 1 solve residual" in lines[0]
 
 
 def test_linalg_error_exits_6(capsys, monkeypatch):
@@ -494,6 +456,6 @@ def test_linalg_error_exits_6(capsys, monkeypatch):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr("layerode.cli.solve", singular)
-    source = PROBLEMS_DIR / "constant_two_scale.json"
+    source = cases.PROBLEMS / "constant_two_scale.json"
     assert main(["solve", "--problem", str(source), "--N", "16"]) == EXIT_NUMERICAL
     assert capsys.readouterr().err == "numerical error: Singular matrix\n"

@@ -1,8 +1,6 @@
 """Dense M-matrix inverses: the monotone structure every step solve uses."""
 
 import numpy as np
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cases import inverse_nonnegative
 
@@ -43,16 +41,3 @@ def test_random_dominant_solves_have_small_residuals():
         residual = np.abs(m @ x - b).max()
         assert residual <= RESIDUAL_RTOL * (1.0 + np.abs(b).max())
         assert inverse_nonnegative(m)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=8),
-    seed=st.integers(min_value=0, max_value=2 ** 31 - 1),
-)
-def test_dominant_m_matrix_inverse_identity(n, seed):
-    rng = np.random.default_rng(seed)
-    m = _dominant_m_matrix(rng, n)
-    inv = np.linalg.inv(m)
-    assert np.allclose(m @ inv, np.eye(n), rtol=0.0, atol=1e-10)
-    assert inv.min() >= -1e-12

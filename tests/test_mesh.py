@@ -60,16 +60,13 @@ def test_unusable_n_rejected():
         build_mesh(cases.scaled_identity((1.0,), 1.0, 2.0), 0)
 
 
-def test_geometry_bounds_hold():
-    # N = 96 = 8 * 12: any multiple of 2^n is usable, not only powers of 2
-    eps, alpha, T, N = (2.0 ** -10, 2.0 ** -4, 0.5), 1.5, 1.25, 96
-    mesh = build_mesh(cases.scaled_identity(eps, alpha, T), N)
-    assert mesh.points[0] == 0.0 and mesh.points[-1] == T
-    assert (np.diff(mesh.points) > 0.0).all()
-    assert mesh.deltas.max() <= 2.0 * T / N * (1.0 + 1e-12)
-    log_n = math.log(N)
-    for sigma, e in zip(mesh.sigmas, eps):
-        assert sigma <= e / alpha * log_n * (1.0 + 1e-12)
+def test_geometry_guard_rejects_repeated_points():
+    # eps_1 = 5e-324 validates, but the first transition point is a few
+    # subnormals wide, too narrow for the mesh points of its piece to differ
+    vp = validate(cases.constant_two_scale(eps=(5e-324, 1.0)))
+    assert vp.alpha == 2.0
+    with pytest.raises(MeshError, match="^mesh points are not strictly increasing$"):
+        build_mesh(vp, 64)
 
 
 def test_build_mesh_uses_extracted_alpha():
@@ -108,11 +105,12 @@ def test_crossing_time_of_adjacent_scales():
     assert t == pytest.approx(eps[0] / 2.0, rel=1e-15)
 
 
-def test_crossing_times_increase_in_both_indices():
-    eps = (2.0 ** -9, 2.0 ** -6, 2.0 ** -3, 2.0 ** -1)
-    points = interaction_points(cases.scaled_identity(eps, 2.0, 1.0))
-    assert points[(1, 2)] < points[(2, 3)] < points[(3, 4)]
-    assert points[(1, 2)] < points[(1, 3)] < points[(1, 4)]
+def test_crossing_time_of_subnormal_scale():
+    # g / eps_1 overflows; the reference is a 50-digit evaluation of
+    # eps_1 eps_2 ln(eps_2 / eps_1) / (alpha (eps_2 - eps_1))
+    t = interaction_points(cases.scaled_identity((1e-310, 0.5), 2.0, 1.0))[(1, 2)]
+    assert 0.0 < t <= 1.0
+    assert t == pytest.approx(3.56554115823796e-308, rel=1e-12)
 
 
 def test_mesh_arrays_are_read_only():

@@ -1,6 +1,6 @@
 """Problem statement, admissibility validation and the JSON layout."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from layerode import (
     ProblemValidationError,
     load_problem,
     problem_from_dict,
-    problem_to_dict,
     sample_A,
     sample_f,
     validate,
@@ -222,18 +221,18 @@ def test_evaluation_outside_domain_rejected():
 
 def test_json_round_trip():
     spec = cases.variable_three_scale()
-    assert problem_from_dict(problem_to_dict(spec)) == spec
+    assert problem_from_dict(asdict(spec)) == spec
 
 
 def test_unknown_key_rejected_by_name():
-    data = problem_to_dict(cases.steady_scalar())
+    data = asdict(cases.steady_scalar())
     data["extra"] = 1
     with pytest.raises(ProblemFormatError, match="extra"):
         problem_from_dict(data)
 
 
 def test_missing_key_named():
-    data = problem_to_dict(cases.steady_scalar())
+    data = asdict(cases.steady_scalar())
     del data["u0"]
     with pytest.raises(ProblemFormatError, match="u0"):
         problem_from_dict(data)
@@ -273,7 +272,7 @@ BOOL_EDITS = [
     ids=[edit[1] for edit in STRING_EDITS] + [edit[1] + "_bool" for edit in BOOL_EDITS],
 )
 def test_strings_rejected_where_numbers_expected(case, key, value):
-    data = problem_to_dict(getattr(cases, case)())
+    data = asdict(getattr(cases, case)())
     data[key] = value
     with pytest.raises(ProblemFormatError, match="must be a number"):
         problem_from_dict(data)
@@ -282,14 +281,14 @@ def test_strings_rejected_where_numbers_expected(case, key, value):
 @pytest.mark.parametrize("value", ["2", 2.7, True, None, [2]],
                          ids=["string", "fraction", "bool", "null", "list"])
 def test_system_size_must_be_an_integer(value):
-    data = problem_to_dict(cases.constant_two_scale())
+    data = asdict(cases.constant_two_scale())
     data["n"] = value
     with pytest.raises(ProblemFormatError, match="system size n must be an integer"):
         problem_from_dict(data)
 
 
 def test_integral_float_system_size_loads():
-    data = problem_to_dict(cases.constant_two_scale())
+    data = asdict(cases.constant_two_scale())
     data["n"] = 2.0
     spec = problem_from_dict(data)
     assert spec.n == 2 and type(spec.n) is int
@@ -297,7 +296,7 @@ def test_integral_float_system_size_loads():
 
 
 def test_eps_is_a_tuple_of_floats():
-    data = problem_to_dict(cases.constant_two_scale())
+    data = asdict(cases.constant_two_scale())
     data["eps"] = [2 ** -4, 1]
     spec = problem_from_dict(data)
     assert spec.eps == (0.0625, 1.0)
@@ -336,7 +335,7 @@ SHAPE_EDITS = [
                          ids=["A_rows", "A_cols", "f", "u0", "eps", "T_zero", "T_negative",
                               "n_zero", "eps_scalar", "eps_empty", "u0_scalar"])
 def test_sizes_must_match_n(key, value, message):
-    data = problem_to_dict(cases.constant_two_scale())
+    data = asdict(cases.constant_two_scale())
     data[key] = value
     with pytest.raises(ProblemFormatError, match=message):
         problem_from_dict(data)

@@ -30,13 +30,9 @@ FORCINGS = pytest.mark.parametrize(
 )
 
 
-def _validated(spec):
-    return validate(spec)
-
-
 def test_scalar_decay_hand_values():
     # 1/(1+delta) = 2/3 per step on the uniform mesh with delta = 1/2
-    vp = _validated(cases.decay_scalar())
+    vp = validate(cases.decay_scalar())
     mesh = build_mesh(vp, 4)
     assert np.allclose(mesh.deltas, 0.5, rtol=0.0, atol=0.0)
     grid = march(vp, mesh, vp.spec.u0)
@@ -45,7 +41,7 @@ def test_scalar_decay_hand_values():
 
 
 def test_steady_state_is_reproduced_exactly():
-    vp = _validated(cases.steady_scalar())
+    vp = validate(cases.steady_scalar())
     grid = solve(vp, 8)
     assert (grid.values == 2.0).all()
     parts = decompose(vp, build_mesh(vp, 8))
@@ -61,7 +57,7 @@ def _uniform_mesh(N, T, sigmas, bits):
 
 
 def test_step_matrix_values():
-    vp = _validated(cases.layer_two_scale(eps=(0.0625, 0.25)))
+    vp = validate(cases.layer_two_scale(eps=(0.0625, 0.25)))
     mesh = _uniform_mesh(8, 1.0, (0.25, 0.5), (0, 0))
     m = step_matrices(vp, mesh)
     assert m.shape == (8, 2, 2)
@@ -71,7 +67,7 @@ def test_step_matrix_values():
 def test_random_step_matrices_are_m_matrices():
     rng = np.random.default_rng(7121)
     for _ in range(100):
-        vp = _validated(cases.random_nonneg_problem(rng))
+        vp = validate(cases.random_nonneg_problem(rng))
         m = step_matrices(vp, build_mesh(vp, 64))
         diag = np.diagonal(m, axis1=1, axis2=2)
         off = m - diag[:, :, None] * np.eye(vp.spec.n)
@@ -112,7 +108,7 @@ BLOCK_CASES = [
 @pytest.mark.parametrize("name,spec,N", BLOCK_CASES)
 @FORCINGS
 def test_march_matches_per_step_solves_across_blocks(name, spec, N, forcing):
-    vp = _validated(forcing(spec))
+    vp = validate(forcing(spec))
     mesh = build_mesh(vp, N)
     u_init = np.asarray(spec.u0) + 1.0
     grid = march(vp, mesh, u_init)
@@ -127,9 +123,9 @@ def test_march_matches_per_step_solves_at_random_sizes():
     for _ in range(12):
         spec = cases.random_nonneg_problem(rng)
         N = 2 ** spec.n * int(rng.integers(1, 300 // 2 ** spec.n + 1))
-        mesh = build_mesh(_validated(spec), N)
+        mesh = build_mesh(validate(spec), N)
         for problem in (spec, cases.zero_forcing(spec)):
-            vp = _validated(problem)
+            vp = validate(problem)
             values = march(vp, mesh, spec.u0).values
             reference = _per_step_march(vp, mesh, spec.u0)
             scale = max(1.0, np.abs(reference).max())
@@ -141,7 +137,7 @@ def test_steady_state_is_reproduced_exactly_across_blocks(N):
     # 92 = 10 blocks of 9 and 2 steps; every step maps 2 exactly onto 2.
     # (At N = 96 one step width rounds so that a step-by-step march leaves
     # 2 by an ulp, so there is no exact steady state to pin.)
-    vp = _validated(cases.steady_scalar())
+    vp = validate(cases.steady_scalar())
     assert (solve(vp, N).values == 2.0).all()
     parts = decompose(vp, build_mesh(vp, N))
     assert (parts.smooth.values == 2.0).all()
@@ -155,7 +151,7 @@ def test_state_kept_by_the_first_step_only_is_marched():
         n=1, A=((cases.poly(1.0),),), f=(cases.poly(2.0, 0, 0, 0, 0, 0, 1.0),),
         u0=(2.0,), T=2.0, eps=(1.0,),
     )
-    vp = _validated(spec)
+    vp = validate(spec)
     mesh = build_mesh(vp, 1024)
     values = march(vp, mesh, spec.u0).values
     assert values[1, 0] == 2.0
@@ -168,13 +164,13 @@ def test_decayed_solution_passes_the_residual_guard_at_large_N(forcing):
     # Far along the mesh the solution has decayed below 1e-6 of u(0) while
     # eps/delta is ~1e4; values with an absolute error of order
     # eps_mach |u(0)|, as offsets from u(0) carry, fail the guard there.
-    vp = _validated(forcing(cases.layer_two_scale()))
+    vp = validate(forcing(cases.layer_two_scale()))
     values = march(vp, build_mesh(vp, 2 ** 16), (2.0, 2.0)).values
     assert np.abs(values[-1]).max() < 1e-6
 
 
 def test_decomposition_initial_split():
-    vp = _validated(cases.constant_two_scale())
+    vp = validate(cases.constant_two_scale())
     parts = decompose(vp, build_mesh(vp, 16))
     v0 = np.linalg.solve(sample_A(vp.spec, 0.0)[0], sample_f(vp.spec, 0.0)[0])
     assert np.array_equal(parts.smooth.values[0], v0)
@@ -183,31 +179,31 @@ def test_decomposition_initial_split():
 
 @pytest.mark.parametrize("name,spec", cases.suite())
 def test_parts_carry_the_problem_and_its_zero_forcing_twin(name, spec):
-    vp = _validated(spec)
+    vp = validate(spec)
     parts = decompose(vp, build_mesh(vp, 16))
     assert parts.smooth.problem is vp
     layer = parts.singular.problem
     assert layer.spec.f == ((0.0,),) * spec.n
     assert (layer.spec.A, layer.spec.eps, layer.spec.T) == (spec.A, spec.eps, spec.T)
     assert layer.alpha == vp.alpha
-    assert layer == _validated(cases.zero_forcing(spec))
+    assert layer == validate(cases.zero_forcing(spec))
 
 
 def test_layer_part_marches_the_homogeneous_system():
     # the layer part starts at u0 - A(0)^-1 f(0) = (-1, -1) and is marched
     # without the forcing f = (2, 2)
-    vp = _validated(cases.constant_two_scale())
+    vp = validate(cases.constant_two_scale())
     mesh = build_mesh(vp, 32)
     singular = decompose(vp, mesh).singular
     reference = _per_step_march(
-        _validated(cases.zero_forcing(vp.spec)), mesh, singular.values[0]
+        validate(cases.zero_forcing(vp.spec)), mesh, singular.values[0]
     )
     scale = max(1.0, np.abs(reference).max())
     assert np.abs(singular.values - reference).max() <= 1e-12 * scale
 
 
 def test_homogeneous_norms_never_grow():
-    vp = _validated(cases.layer_two_scale())
+    vp = validate(cases.layer_two_scale())
     grid = solve(vp, 128)
     norms = np.abs(grid.values).max(axis=1)
     assert (norms[1:] <= norms[:-1] + 1e-15).all()
@@ -218,7 +214,7 @@ def test_homogeneous_norms_never_grow():
 @pytest.mark.parametrize("name,spec", cases.suite())
 @pytest.mark.parametrize("N", SUITE_N)
 def test_nonnegative_data_certificates(name, spec, N):
-    vp = _validated(spec)
+    vp = validate(spec)
     grid = solve(vp, N)
     assert certify_max_principle(grid)
     assert grid.values.min() >= -1e-12 * max(1.0, np.abs(grid.values).max())
@@ -228,12 +224,12 @@ def test_nonnegative_data_certificates(name, spec, N):
 
 
 def test_stability_bound_values():
-    vp = _validated(cases.steady_scalar())
+    vp = validate(cases.steady_scalar())
     grid = solve(vp, 8)
     stability = certify_stability(grid)
     assert stability.bound == 2.0
     assert stability.max_norm == 2.0
-    vp = _validated(cases.layer_two_scale())
+    vp = validate(cases.layer_two_scale())
     stability = certify_stability(solve(vp, 32))
     assert stability.bound == 1.0
 
@@ -242,13 +238,13 @@ def test_layer_part_certificates_use_zero_right_hand_side():
     # the layer part starts at u0 - A(0)^-1 f(0) = (-0.5, -0.5) and marches
     # the zero-forcing twin, so its bound is the initial norm alone; the
     # forcing would give |f| / alpha = 1
-    vp = _validated(replace(cases.constant_two_scale(), u0=(0.5, 0.5)))
+    vp = validate(replace(cases.constant_two_scale(), u0=(0.5, 0.5)))
     singular = decompose(vp, build_mesh(vp, 16)).singular
     assert certify_stability(singular).bound == 0.5
 
 
 def test_certificate_vacuous_for_negative_initial_value():
-    vp = _validated(cases.decay_scalar())
+    vp = validate(cases.decay_scalar())
     mesh = build_mesh(vp, 4)
     grid = march(vp, mesh, (-1.0,))
     assert grid.values.min() < 0.0
@@ -260,29 +256,29 @@ def test_certificate_vacuous_for_negative_forcing():
         n=1, A=((cases.poly(1.0),),), f=(cases.poly(-1.0),), u0=(0.0,),
         T=2.0, eps=(1.0,),
     )
-    vp = _validated(spec)
+    vp = validate(spec)
     grid = solve(vp, 4)
     assert grid.values.min() < 0.0
     assert certify_max_principle(grid)
 
 
 def test_march_rejects_foreign_mesh():
-    vp = _validated(cases.constant_two_scale())
-    other = build_mesh(_validated(cases.variable_three_scale()), 16)
+    vp = validate(cases.constant_two_scale())
+    other = build_mesh(validate(cases.variable_three_scale()), 16)
     with pytest.raises(ValueError):
         march(vp, other, vp.spec.u0)
     short = cases.ProblemSpec(
         n=1, A=((cases.poly(1.0),),), f=(cases.poly(0.0),), u0=(1.0,),
         T=1.0, eps=(0.5,),
     )
-    wrong_T = build_mesh(_validated(short), 16)
-    scalar = _validated(cases.decay_scalar())
+    wrong_T = build_mesh(validate(short), 16)
+    scalar = validate(cases.decay_scalar())
     with pytest.raises(ValueError):
         march(scalar, wrong_T, scalar.spec.u0)
 
 
 def test_march_rejects_bad_initial_value():
-    vp = _validated(cases.decay_scalar())
+    vp = validate(cases.decay_scalar())
     mesh = build_mesh(vp, 4)
     with pytest.raises(ValueError):
         march(vp, mesh, (1.0, 2.0))
@@ -292,7 +288,7 @@ def test_march_rejects_bad_initial_value():
 
 def test_zero_residual_tolerance_trips_the_guard(monkeypatch):
     monkeypatch.setattr("layerode.solver.STEP_RESIDUAL_RTOL", 0.0)
-    vp = _validated(cases.constant_two_scale())
+    vp = validate(cases.constant_two_scale())
     mesh = build_mesh(vp, 16)
     with pytest.raises(SolveFailureError):
         march(vp, mesh, vp.spec.u0)
@@ -307,7 +303,7 @@ def test_zero_residual_tolerance_trips_the_guard(monkeypatch):
 # is nan (nan > tol is False); numpy warns about the overflow on the way.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_residual_trips_the_guard():
-    vp = _validated(replace(cases.constant_two_scale(), u0=(1e308, 1e308)))
+    vp = validate(replace(cases.constant_two_scale(), u0=(1e308, 1e308)))
     with pytest.raises(SolveFailureError, match=r"^step 1 solve residual nan"):
         solve(vp, 16)
 
@@ -320,7 +316,7 @@ def test_residual_guard_tolerance_scale(name, spec, monkeypatch):
     # worst max_j |M_j U_j - b_j| / (1 + |b_j|) of a marched grid, recomputed
     # step by step; the guard must trip a decade below it and pass a decade
     # above it, which pins the scale of the tolerance
-    vp = _validated(spec)
+    vp = validate(spec)
     mesh = build_mesh(vp, 64)
     values = march(vp, mesh, vp.spec.u0).values
     m = step_matrices(vp, mesh)
@@ -340,7 +336,7 @@ def test_residual_guard_tolerance_scale(name, spec, monkeypatch):
 
 
 def test_solution_values_are_read_only():
-    vp = _validated(cases.decay_scalar())
+    vp = validate(cases.decay_scalar())
     grid = solve(vp, 4)
     with pytest.raises(ValueError):
         grid.values[0, 0] = 5.0
@@ -348,7 +344,7 @@ def test_solution_values_are_read_only():
 
 def test_grid_values_are_time_major():
     # values[j] is U at t_j, laid out like sample_A and sample_f
-    vp = _validated(cases.variable_three_scale())
+    vp = validate(cases.variable_three_scale())
     mesh = build_mesh(vp, 16)
     u_init = np.array([1.0, 2.0, 3.0])
     values = march(vp, mesh, u_init).values
