@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass, fields
 from functools import reduce
 
 import numpy as np
@@ -36,7 +37,7 @@ MAX_POLY_DEGREE = 16
 
 
 class ProblemFormatError(ValueError):
-    """Problem file or constructor data is malformed."""
+    """A problem field is malformed; the message names it and quotes its value."""
 
 
 class ProblemValidationError(ValueError):
@@ -62,19 +63,29 @@ class ProblemValidationError(ValueError):
 
 
 def _number(value, what):
-    # float() parses strings too, and a string where a sequence is expected
-    # would be read one character at a time ("12" as the coefficients 1, 2).
-    # JSON true and false load as bools, which float() reads as 1 and 0.
-    if isinstance(value, (str, bytes, bool)):
+    # Any real number but a bool (JSON true/false, which float() reads as 1/0).
+    # An integer beyond double range reads as +-inf, as 1e400 in a file does.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ProblemFormatError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _finite(value, what):
     v = _number(value, what)
     if not math.isfinite(v):
-        raise ProblemFormatError(f"{what} must be finite, got {value!r}")
+        raise ProblemFormatError(f"{what} must be finite, got {v!r}")
     return v
+
+
+def _sequence(value, what):
+    """value as a tuple. A string, bytes or a mapping is rejected as a whole,
+    like anything that is not iterable, rather than read item by item."""
+    if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable):
+        raise ProblemFormatError(f"{what} must be a sequence, got {value!r}")
+    return tuple(value)
 
 
 def _coeffs(entry):
@@ -83,13 +94,10 @@ def _coeffs(entry):
     A bare number is a constant; an empty sequence is the zero polynomial.
     Coefficients must be finite and the degree at most MAX_POLY_DEGREE.
     """
-    try:
-        raw = (entry,) if isinstance(entry, (int, float)) else tuple(entry)
-        coeffs = tuple(_finite(c, "polynomial coefficient") for c in raw)
-    except TypeError as exc:
-        raise ProblemFormatError(
-            f"polynomial coefficients must be a sequence of numbers, got {entry!r}"
-        ) from exc
+    if isinstance(entry, numbers.Real):
+        entry = (entry,)
+    coeffs = tuple(_finite(c, "polynomial coefficient")
+                   for c in _sequence(entry, "polynomial coefficients"))
     if len(coeffs) - 1 > MAX_POLY_DEGREE:
         raise ProblemFormatError(
             "polynomial degree %d exceeds the supported maximum %d"
@@ -101,12 +109,8 @@ def _coeffs(entry):
 def _eps(values):
     """Perturbation parameters as a tuple of floats: at least one, each in
     (0, 1], strictly increasing."""
-    try:
-        eps = tuple(_number(e, "perturbation parameter") for e in values)
-    except TypeError as exc:
-        raise ProblemFormatError(
-            f"perturbation parameters must be a sequence of numbers, got {values!r}"
-        ) from exc
+    eps = tuple(_number(e, "perturbation parameter")
+                for e in _sequence(values, "perturbation parameters"))
     if not eps:
         raise ProblemFormatError("at least one perturbation parameter is required")
     for i, e in enumerate(eps):
@@ -162,9 +166,10 @@ class ProblemSpec:
 
     def __post_init__(self):
         n = _size(self.n)
-        A = tuple(tuple(_coeffs(p) for p in row) for row in self.A)
-        f = tuple(_coeffs(p) for p in self.f)
-        u0 = tuple(_finite(v, "initial value") for v in self.u0)
+        A = tuple(tuple(map(_coeffs, _sequence(row, "row of the coefficient matrix")))
+                  for row in _sequence(self.A, "coefficient matrix"))
+        f = tuple(map(_coeffs, _sequence(self.f, "forcing")))
+        u0 = tuple(_finite(v, "initial value") for v in _sequence(self.u0, "initial value"))
         eps = _eps(self.eps)
         T = _finite(self.T, "horizon T")
         if len(A) != n or any(len(row) != n for row in A):
@@ -179,12 +184,8 @@ class ProblemSpec:
             )
         if T <= 0.0:
             raise ProblemFormatError("horizon T must be positive")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "u0", u0)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "eps", eps)
+        for name, value in dict(n=n, A=A, f=f, u0=u0, T=T, eps=eps).items():
+            object.__setattr__(self, name, value)
 
     def has_constant_coefficients(self):
         return not any(any(p[1:]) for row in (*self.A, self.f) for p in row)
@@ -295,9 +296,6 @@ def validate(spec):
     return ValidatedProblem(spec=spec, alpha=alpha)
 
 
-_PROBLEM_KEYS = ("n", "T", "eps", "u0", "A", "f")
-
-
 def problem_from_dict(data):
     """Build a ProblemSpec from the documented JSON layout.
 
@@ -306,16 +304,14 @@ def problem_from_dict(data):
     """
     if not isinstance(data, dict):
         raise ProblemFormatError("problem document must be a JSON object")
-    unknown = sorted(set(data) - set(_PROBLEM_KEYS))
+    keys = [field.name for field in fields(ProblemSpec)]
+    unknown = sorted(set(data) - set(keys))
     if unknown:
         raise ProblemFormatError("unknown problem key(s): %s" % ", ".join(unknown))
-    missing = [k for k in _PROBLEM_KEYS if k not in data]
+    missing = [k for k in keys if k not in data]
     if missing:
         raise ProblemFormatError("missing problem key(s): %s" % ", ".join(missing))
-    try:
-        return ProblemSpec(**data)
-    except TypeError as exc:
-        raise ProblemFormatError(f"malformed problem data: {exc}") from exc
+    return ProblemSpec(**data)
 
 
 def load_problem(path):
@@ -323,6 +319,7 @@ def load_problem(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # ValueError covers bytes that are not UTF-8; RecursionError, deep nesting
+        except (ValueError, RecursionError) as exc:
             raise ProblemFormatError(f"{path}: not valid JSON: {exc}") from exc
     return problem_from_dict(data)

@@ -75,16 +75,24 @@ def test_missing_problem_file_is_a_usage_error(tmp_path, capsys):
         assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("key,value,message", [
-    ("plot", True, "unknown problem key(s): plot"),
-    ("u0", "00", "initial value must be a number, got '0'"),
-    ("T", True, "horizon T must be a number, got True"),
-    ("n", 2.7, "system size n must be an integer, got 2.7"),
-], ids=["unknown_key", "string_number", "bool_number", "fractional_system_size"])
-def test_malformed_problem_exits_2(tmp_path, capsys, key, value, message):
+# A 401-digit JSON integer reads as inf, as 1e400 would: T must be finite
+# (exit 2), and an eps of inf is out of range (exit 3).
+@pytest.mark.parametrize("key,value,code,err", [
+    ("plot", True, EXIT_PARSE, "error: unknown problem key(s): plot"),
+    ("u0", "00", EXIT_PARSE, "error: initial value must be a sequence, got '00'"),
+    ("u0", {"a": 0, "b": 0}, EXIT_PARSE,
+     "error: initial value must be a sequence, got {'a': 0, 'b': 0}"),
+    ("T", True, EXIT_PARSE, "error: horizon T must be a number, got True"),
+    ("n", 2.7, EXIT_PARSE, "error: system size n must be an integer, got 2.7"),
+    ("T", 10 ** 400, EXIT_PARSE, "error: horizon T must be finite, got inf"),
+    ("eps", [10 ** 400, 0.5], EXIT_VALIDATION,
+     "validation error: perturbation parameter 1 is inf, expected a value in (0, 1]"),
+], ids=["unknown_key", "string_number", "object_sequence", "bool_number",
+        "fractional_system_size", "big_int_T", "big_int_eps"])
+def test_malformed_problem_exits_2(tmp_path, capsys, key, value, code, err):
     path = _write_problem(tmp_path, cases.constant_two_scale(), **{key: value})
-    assert main(["validate", "--problem", path]) == EXIT_PARSE
-    assert capsys.readouterr() == ("", "error: %s\n" % message)
+    assert main(["validate", "--problem", path]) == code
+    assert capsys.readouterr() == ("", err + "\n")
 
 
 def test_mesh_csv_round_trips_points(tmp_path, capsys):

@@ -48,8 +48,6 @@ def test_polynomial_rejects_non_finite_coefficients():
         problem_from_dict(_scalar_doc([1.0, float("nan")]))
     with pytest.raises(ProblemFormatError, match="finite"):
         problem_from_dict(_scalar_doc(1.0, f=[float("inf")]))
-    with pytest.raises(ProblemFormatError, match="sequence of numbers"):
-        problem_from_dict(_scalar_doc([1.0, None]))
 
 
 def test_eps_must_increase_strictly():
@@ -233,9 +231,10 @@ def test_unknown_key_rejected_by_name():
 
 def test_missing_key_named():
     data = asdict(cases.steady_scalar())
-    del data["u0"]
-    with pytest.raises(ProblemFormatError, match="u0"):
+    del data["u0"], data["A"]
+    with pytest.raises(ProblemFormatError) as err:
         problem_from_dict(data)
+    assert str(err.value) == "missing problem key(s): A, u0"
 
 
 def test_load_problem_reads_scalar_entries(tmp_path):
@@ -246,36 +245,6 @@ def test_load_problem_reads_scalar_entries(tmp_path):
     )
     spec = load_problem(path)
     assert spec == cases.steady_scalar()
-
-
-# Each edit loaded before strings were rejected: a string is a sequence, so
-# it was read one character at a time as digits.
-STRING_EDITS = [
-    ("constant_two_scale", "u0", "00"),
-    ("constant_two_scale", "f", ["12", 2.0]),
-    ("constant_two_scale", "A", [["3", [-1.0]], [-1.0, "30"]]),
-    ("steady_scalar", "eps", "1"),
-    ("constant_two_scale", "T", "1.0"),
-]
-# Each edit loaded before bools were rejected: JSON true and false are read
-# as 1 and 0.
-BOOL_EDITS = [
-    ("constant_two_scale", "T", True),
-    ("constant_two_scale", "u0", [True, False]),
-    ("steady_scalar", "eps", [True]),
-    ("constant_two_scale", "f", [[1.0, False], 2.0]),
-]
-
-
-@pytest.mark.parametrize(
-    "case,key,value", STRING_EDITS + BOOL_EDITS,
-    ids=[edit[1] for edit in STRING_EDITS] + [edit[1] + "_bool" for edit in BOOL_EDITS],
-)
-def test_strings_rejected_where_numbers_expected(case, key, value):
-    data = asdict(getattr(cases, case)())
-    data[key] = value
-    with pytest.raises(ProblemFormatError, match="must be a number"):
-        problem_from_dict(data)
 
 
 @pytest.mark.parametrize("value", ["2", 2.7, True, None, [2]],
@@ -311,34 +280,94 @@ def test_load_problem_rejects_bad_json(tmp_path):
     path.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(ProblemFormatError, match="must be a JSON object"):
         load_problem(path)
+    # UTF-16 text, as some editors save it: bytes that are not UTF-8
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    with pytest.raises(ProblemFormatError) as err:
+        load_problem(path)
+    assert str(err.value).startswith(
+        f"{path}: not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0")
+    path.write_text("[" * 10 ** 5 + "]" * 10 ** 5, encoding="utf-8")
+    with pytest.raises(ProblemFormatError, match="not valid JSON: maximum recursion depth"):
+        load_problem(path)
 
 
-# Edits of constant_two_scale (n = 2) whose sizes do not fit n, or are no
-# sizes at all (n = 0, a bare number for a sequence), or whose horizon is
-# not positive.
-SHAPE_EDITS = [
-    ("A", [[3.0, -1.0]], "coefficient matrix must be 2x2"),
-    ("A", [[3.0], [-1.0, 3.0]], "coefficient matrix must be 2x2"),
-    ("f", [2.0], "forcing must have 2 components"),
-    ("u0", [0.0, 0.0, 0.0], "initial value must have 2 components"),
-    ("eps", [0.5], "expected 2 perturbation parameters, got 1"),
-    ("T", 0.0, "horizon T must be positive"),
-    ("T", -1.0, "horizon T must be positive"),
-    ("n", 0, "system size n must be at least 1"),
-    ("eps", 0.5, "perturbation parameters must be a sequence of numbers"),
-    ("eps", [], "at least one perturbation parameter is required"),
-    ("u0", 5, "malformed problem data"),
+BIG = 10 ** 400  # a JSON integer that float() cannot convert
+
+
+def _edit(name, key, value, message, error=ProblemFormatError):
+    return pytest.param(key, value, error, message, id=name)
+
+
+# Edits of constant_two_scale (n = 2), each with the exception it raises and
+# its exact message. A string, an object or a bare number where a sequence
+# is expected is rejected as a whole, never read item by item; a string or
+# a bool where a number is expected is rejected rather than converted; sizes
+# must fit n; an integer beyond double range reads as inf, as 1e400 would.
+MALFORMED = [
+    _edit("u0_string", "u0", "00", "initial value must be a sequence, got '00'"),
+    _edit("f_string_entry", "f", ["12", 2],
+          "polynomial coefficients must be a sequence, got '12'"),
+    _edit("A_string_entries", "A", [["3", [-1.0]], [-1.0, "30"]],
+          "polynomial coefficients must be a sequence, got '3'"),
+    _edit("eps_string", "eps", "0.1",
+          "perturbation parameters must be a sequence, got '0.1'"),
+    _edit("eps_string_one", "eps", "1",
+          "perturbation parameters must be a sequence, got '1'"),
+    _edit("T_string", "T", "1.0", "horizon T must be a number, got '1.0'"),
+    _edit("T_bool", "T", True, "horizon T must be a number, got True"),
+    _edit("u0_bool", "u0", [True, False], "initial value must be a number, got True"),
+    _edit("eps_bool", "eps", [True], "perturbation parameter must be a number, got True"),
+    _edit("f_bool_coefficient", "f", [[1.0, False], 2.0],
+          "polynomial coefficient must be a number, got False"),
+    _edit("A_null_coefficient", "A", [[[1.0, None], -1.0], [-1.0, 3.0]],
+          "polynomial coefficient must be a number, got None"),
+    _edit("u0_object", "u0", {"a": 0, "b": 0},
+          "initial value must be a sequence, got {'a': 0, 'b': 0}"),
+    _edit("f_object_entry", "f", [{"a": 1}, 2],
+          "polynomial coefficients must be a sequence, got {'a': 1}"),
+    _edit("u0_scalar", "u0", 5, "initial value must be a sequence, got 5"),
+    _edit("A_scalar", "A", 5, "coefficient matrix must be a sequence, got 5"),
+    _edit("A_scalar_rows", "A", [5, 5],
+          "row of the coefficient matrix must be a sequence, got 5"),
+    _edit("f_null", "f", None, "forcing must be a sequence, got None"),
+    _edit("T_list", "T", [1.0], "horizon T must be a number, got [1.0]"),
+    _edit("u0_nested", "u0", [[0.0], [0.0]], "initial value must be a number, got [0.0]"),
+    _edit("eps_scalar", "eps", 0.5, "perturbation parameters must be a sequence, got 0.5"),
+    _edit("T_big_int", "T", BIG, "horizon T must be finite, got inf"),
+    _edit("u0_big_int", "u0", [BIG, 0], "initial value must be finite, got inf"),
+    _edit("f_big_int", "f", [[2, -BIG], 2],
+          "polynomial coefficient must be finite, got -inf"),
+    _edit("eps_big_int", "eps", [BIG, 0.5],
+          "perturbation parameter 1 is inf, expected a value in (0, 1]",
+          ProblemValidationError),
+    _edit("A_rows", "A", [[3.0, -1.0]], "coefficient matrix must be 2x2"),
+    _edit("A_cols", "A", [[3.0], [-1.0, 3.0]], "coefficient matrix must be 2x2"),
+    _edit("f_size", "f", [2.0], "forcing must have 2 components"),
+    _edit("u0_size", "u0", [0.0, 0.0, 0.0], "initial value must have 2 components"),
+    _edit("eps_size", "eps", [0.5], "expected 2 perturbation parameters, got 1"),
+    _edit("eps_empty", "eps", [], "at least one perturbation parameter is required"),
+    _edit("T_zero", "T", 0.0, "horizon T must be positive"),
+    _edit("T_negative", "T", -1.0, "horizon T must be positive"),
+    _edit("n_zero", "n", 0, "system size n must be at least 1"),
 ]
 
 
-@pytest.mark.parametrize("key,value,message", SHAPE_EDITS,
-                         ids=["A_rows", "A_cols", "f", "u0", "eps", "T_zero", "T_negative",
-                              "n_zero", "eps_scalar", "eps_empty", "u0_scalar"])
-def test_sizes_must_match_n(key, value, message):
-    data = asdict(cases.constant_two_scale())
-    data[key] = value
-    with pytest.raises(ProblemFormatError, match=message):
-        problem_from_dict(data)
+@pytest.mark.parametrize("key,value,error,message", MALFORMED)
+def test_malformed_field_named(key, value, error, message):
+    # pytest.raises lets any other exception through, so a TypeError or an
+    # OverflowError from either entry point fails the test
+    data = {**asdict(cases.constant_two_scale()), key: value}
+    for build in (problem_from_dict, lambda d: ProblemSpec(**d)):
+        with pytest.raises(error) as err:
+            build(data)
+        assert str(err.value) == message
+
+
+def test_numpy_values_read_as_plain_numbers():
+    plain = asdict(cases.constant_two_scale())
+    data = {**plain, "u0": np.array(plain["u0"]), "eps": np.array(plain["eps"]),
+            "A": [[np.int64(3), np.int64(-1)], [np.int64(-1), [np.int64(3)]]]}
+    assert ProblemSpec(**data) == ProblemSpec(**plain)
 
 
 def test_replace_eps_changes_only_parameters():
