@@ -8,11 +8,12 @@ Exit codes: 0 ok, 1 solve certificate failure, 2 unreadable (also missing)
 or malformed input or a mesh too large for memory, 3 problem validation
 failure, 4 mesh construction failure, 5 requested convergence band not met,
 6 numerical failure (a step's residual was not finite or failed the fixed
-1e-12 guard, a study's error was not finite, or numpy's linear algebra
-reported a singular matrix). numpy's floating-point warnings are silenced,
-since each of those failures has its exit code. All numbers are written with
-17 significant digits, so output is byte-identical across runs and floats
-round-trip exactly.
+1e-12 backward-error guard, a study's error was not finite, or numpy's
+linear algebra reported a singular matrix). numpy's floating-point warnings
+are silenced, since each of those failures has its exit code. Text and CSV
+output write numbers with 17 significant digits, and --json output with
+Python's shortest round-trip repr (2.0, not 2); either way output is
+byte-identical across runs and floats round-trip exactly.
 """
 
 from __future__ import annotations

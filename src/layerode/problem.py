@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from functools import reduce
 
@@ -82,10 +82,14 @@ def _finite(value, what):
 
 def _sequence(value, what):
     """value as a tuple. A string, bytes or a mapping is rejected as a whole,
-    like anything that is not iterable, rather than read item by item."""
-    if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable):
-        raise ProblemFormatError(f"{what} must be a sequence, got {value!r}")
-    return tuple(value)
+    like anything that cannot be iterated (a 0-d array among them), rather
+    than read item by item."""
+    try:
+        if not isinstance(value, (str, bytes, Mapping)):
+            return tuple(value)
+    except TypeError:
+        pass
+    raise ProblemFormatError(f"{what} must be a sequence, got {value!r}")
 
 
 def _coeffs(entry):
@@ -305,7 +309,7 @@ def problem_from_dict(data):
     if not isinstance(data, dict):
         raise ProblemFormatError("problem document must be a JSON object")
     keys = [field.name for field in fields(ProblemSpec)]
-    unknown = sorted(set(data) - set(keys))
+    unknown = sorted(map(str, set(data) - set(keys)))
     if unknown:
         raise ProblemFormatError("unknown problem key(s): %s" % ", ".join(unknown))
     missing = [k for k in keys if k not in data]

@@ -123,11 +123,6 @@ def test_oracle_error_decreases_with_refinement():
     assert e64 > e128 > 0.0
 
 
-def test_two_mesh_difference_zero_for_steady_problem():
-    vp = validate(cases.steady_scalar())
-    assert two_mesh_difference(solve(vp, 16)) == 0.0
-
-
 def test_two_mesh_study_is_the_bisected_march_difference():
     vp = validate(cases.layer_two_scale())
     N = 64

@@ -113,6 +113,13 @@ def test_crossing_time_of_subnormal_scale():
     assert t == pytest.approx(3.56554115823796e-308, rel=1e-12)
 
 
+def test_underflowing_crossing_time_raises():
+    # eps_1 eps_2 underflows to 0, so the crossing time is not positive
+    vp = cases.scaled_identity((5e-324, 1e-300), 2.0, 1.0)
+    with pytest.raises(MeshError, match=r"^crossing time \(1,2\) is not positive$"):
+        interaction_points(vp)
+
+
 def test_mesh_arrays_are_read_only():
     mesh = build_mesh(cases.scaled_identity((0.5, 1.0), 2.0, 1.0), 8)
     with pytest.raises(ValueError):

@@ -222,11 +222,16 @@ def test_json_round_trip():
     assert problem_from_dict(asdict(spec)) == spec
 
 
-def test_unknown_key_rejected_by_name():
-    data = asdict(cases.steady_scalar())
-    data["extra"] = 1
-    with pytest.raises(ProblemFormatError, match="extra"):
+@pytest.mark.parametrize("extra,names", [
+    ({"extra": 1}, "extra"),
+    ({1: 0}, "1"),
+    ({"extra": 1, 2: 0}, "2, extra"),
+], ids=["str", "int", "mixed"])
+def test_unknown_key_rejected_by_name(extra, names):
+    data = {**asdict(cases.steady_scalar()), **extra}
+    with pytest.raises(ProblemFormatError) as err:
         problem_from_dict(data)
+    assert str(err.value) == "unknown problem key(s): " + names
 
 
 def test_missing_key_named():
@@ -326,6 +331,8 @@ MALFORMED = [
     _edit("f_object_entry", "f", [{"a": 1}, 2],
           "polynomial coefficients must be a sequence, got {'a': 1}"),
     _edit("u0_scalar", "u0", 5, "initial value must be a sequence, got 5"),
+    _edit("u0_0d_array", "u0", np.array(0.0),
+          "initial value must be a sequence, got array(0.)"),
     _edit("A_scalar", "A", 5, "coefficient matrix must be a sequence, got 5"),
     _edit("A_scalar_rows", "A", [5, 5],
           "row of the coefficient matrix must be a sequence, got 5"),
