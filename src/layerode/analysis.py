@@ -38,6 +38,9 @@ __all__ = [
     "uniform_sweep",
 ]
 
+# How far a computed propagator exp(-t E^-1 A) may stray from the
+# nonnegative matrices with row sums at most 1, where every exact one lies.
+PROPAGATOR_ATOL = 1e-12
 _SERIES_DEGREE = 16
 _SERIES_COEFFS = tuple(1.0 / math.factorial(k) for k in range(_SERIES_DEGREE + 1))
 
@@ -84,6 +87,14 @@ def exact_constant_solution(spec, ts):
 
     u(t) = A^-1 f + exp(-t E^-1 A) (u(0) - A^-1 f), with every exponential
     from one matrix_exponential call (one squaring count for all times).
+
+    For a problem that validate accepts, -E^-1 A has nonnegative
+    off-diagonal entries and E^-1 A positive row sums, so every exact
+    propagator exp(-t E^-1 A) is entrywise nonnegative with row sums at
+    most 1. A computed one with an entry below -PROPAGATOR_ATOL or a row
+    sum above 1 + PROPAGATOR_ATOL (or a nan) is wrong, and raises
+    SolveFailureError rather than give a wrong reference; at very small
+    eps the shared squaring count loses the small times that way.
     Raises OracleUnavailableError when the coefficients vary in time,
     ValueError for a negative time and numpy.linalg.LinAlgError if A is
     singular.
@@ -98,6 +109,15 @@ def exact_constant_solution(spec, ts):
     a = sample_A(spec, 0.0)[0]
     steady = np.linalg.solve(a, sample_f(spec, 0.0)[0])
     exps = matrix_exponential(-ts[:, None, None] * (a / np.asarray(spec.eps)[:, None]))
+    # entries and row sums, reduced along the time axis of an (n, n, len(ts)) copy
+    e = np.ascontiguousarray(exps.transpose(1, 2, 0))
+    excess = np.maximum(-e.min(axis=(0, 1)), e.sum(axis=1).max(axis=0) - 1.0)
+    bad = np.flatnonzero(~(excess <= PROPAGATOR_ATOL))
+    if bad.size:
+        k = int(bad[0])
+        raise SolveFailureError(
+            "closed-form propagator at t=%.6g leaves its bounds by %.3e" % (ts[k], excess[k])
+        )
     return steady + exps @ (np.asarray(spec.u0, dtype=float) - steady)
 
 

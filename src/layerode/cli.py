@@ -8,12 +8,19 @@ Exit codes: 0 ok, 1 solve certificate failure, 2 unreadable (also missing)
 or malformed input or a mesh too large for memory, 3 problem validation
 failure, 4 mesh construction failure, 5 requested convergence band not met,
 6 numerical failure (a step's residual was not finite or failed the fixed
-1e-12 backward-error guard, a study's error was not finite, or numpy's
-linear algebra reported a singular matrix). numpy's floating-point warnings
-are silenced, since each of those failures has its exit code. Text and CSV
-output write numbers with 17 significant digits, and --json output with
-Python's shortest round-trip repr (2.0, not 2); either way output is
-byte-identical across runs and floats round-trip exactly.
+1e-12 backward-error guard, a study's error was not finite, a closed-form
+propagator left its bounds, or numpy's linear algebra reported a singular
+matrix). numpy's floating-point warnings are silenced, since each of those
+failures has its exit code. Text and CSV output write numbers with 17
+significant digits, and --json output with Python's shortest round-trip
+repr (2.0, not 2); either way output is byte-identical across runs and
+floats round-trip exactly.
+
+validate needs only the problem module, which loads no numpy unless an
+entry has degree 3 or more. The numpy-backed names of the other
+subcommands are bound into this module on first use (_bind_numeric), and
+reading one of them on this module binds them too, so a wrapper or test
+double set here replaces what the subcommands call.
 """
 
 from __future__ import annotations
@@ -23,30 +30,14 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 
-import numpy as np
-
-from . import analysis
-from .analysis import (
-    OracleUnavailableError,
-    convergence_study,
-    default_eps_grid,
-    uniform_sweep,
-)
-from .mesh import MeshError, build_mesh
 from .problem import (
     ProblemFormatError,
     ProblemValidationError,
     load_problem,
     validate,
-)
-from .solver import (
-    SolveFailureError,
-    certify_max_principle,
-    certify_stability,
-    decompose,
-    solve,
 )
 
 EXIT_OK = 0
@@ -61,6 +52,51 @@ EXIT_NUMERICAL = 6
 # up when a study runs so that a wrapper installed there sees every call)
 _MEASURES = {"exact": ("exact_oracle", "exact_error"),
              "two_mesh": ("two_mesh", "two_mesh_difference")}
+
+
+def _numeric_names():
+    """The numpy-backed names of the numeric subcommands, by name."""
+    import numpy as np
+
+    from . import analysis
+    from .analysis import convergence_study, default_eps_grid, uniform_sweep
+    from .mesh import MeshError, build_mesh
+    from .solver import (
+        SolveFailureError,
+        certify_max_principle,
+        certify_stability,
+        decompose,
+        solve,
+    )
+
+    return locals()
+
+
+def _bind_numeric():
+    """Bind those names into this module, keeping any bound here already."""
+    for name, value in _numeric_names().items():
+        globals().setdefault(name, value)
+
+
+def __getattr__(name):
+    # PEP 562: reading a numpy-backed name on this module binds them all.
+    if not name.startswith("__"):
+        _bind_numeric()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _numeric(command):
+    """A numpy-backed subcommand: it binds those names first and runs with
+    numpy's floating-point warnings off. Overflow and invalid operations
+    are not reported as warnings: every non-finite result fails a check and
+    exits with its own code."""
+    def run(args):
+        _bind_numeric()
+        with np.errstate(all="ignore"):
+            return command(args)
+    return run
 
 
 def _fmt(x):
@@ -117,7 +153,7 @@ def _band_arg(text):
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a number: {text}") from exc
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"band must be a finite number: {text}")
     return value
 
@@ -137,6 +173,7 @@ def _cmd_validate(args):
     return EXIT_OK
 
 
+@_numeric
 def _cmd_mesh(args):
     vp = validate(load_problem(args.problem))
     mesh = build_mesh(vp, args.N)
@@ -153,6 +190,7 @@ def _cmd_mesh(args):
     return EXIT_OK
 
 
+@_numeric
 def _cmd_solve(args):
     vp = validate(load_problem(args.problem))
     grid = solve(vp, args.N)
@@ -215,6 +253,7 @@ def _band_gate(rows, band, what):
     return EXIT_OK
 
 
+@_numeric
 def _cmd_converge(args):
     vp = validate(load_problem(args.problem))
     label, measure = _MEASURES[args.mode]
@@ -229,6 +268,7 @@ def _cmd_converge(args):
     return _band_gate(report.rows, args.min_p, "observed")
 
 
+@_numeric
 def _cmd_sweep(args):
     spec = load_problem(args.problem)
     grid = default_eps_grid(spec.n) if args.eps_grid == "default" else args.eps_grid
@@ -316,22 +356,28 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        # Overflow and invalid operations are not reported as warnings: every
-        # non-finite result fails a check and exits with its own code.
-        with np.errstate(all="ignore"):
-            return args.func(args)
+        return args.func(args)
     except ProblemValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except MeshError as exc:
-        print(f"mesh error: {exc}", file=sys.stderr)
-        return EXIT_MESH
-    except (SolveFailureError, np.linalg.LinAlgError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ProblemFormatError, OracleUnavailableError, OSError, ValueError, MemoryError) as exc:
+    except (ProblemFormatError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except (RuntimeError, ValueError) as exc:
+        # MeshError, SolveFailureError and LinAlgError come from numpy-backed
+        # modules. validate can raise LinAlgError before any of them was
+        # bound: the roots of a quadratic or higher derivative are numpy's.
+        _bind_numeric()
+        if isinstance(exc, MeshError):
+            print(f"mesh error: {exc}", file=sys.stderr)
+            return EXIT_MESH
+        if isinstance(exc, (SolveFailureError, np.linalg.LinAlgError)):
+            print(f"numerical error: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        if isinstance(exc, ValueError):  # OracleUnavailableError among them
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+        raise
 
 
 def entrypoint():

@@ -1,12 +1,17 @@
 """Problem data for stiff linear systems E u' + A(t) u = f(t) on [0, T].
 
 Matrix and forcing entries are polynomials in t, held as tuples of ascending
-coefficients and evaluated by sample_A, sample_f and validate. That keeps
+coefficients and evaluated by one Horner rule (_polyval): on arrays of
+times by sample_A and sample_f, on single times by validate. That keeps
 the file format trivial and makes admissibility exact: each extremum on
 [0, T] sits at an endpoint or at a root of the derivative. Validation
 establishes the sign and dominance structure of A(t) that the stepping
 operator's monotonicity relies on, and extracts the decay rate alpha, the
 infimum of the row sums, used to place mesh transition points.
+
+This module imports numpy only inside the functions that need it: the
+samplers, and validate for an entry of degree 3 or more, whose derivative's
+roots come from numpy. Validating any other problem needs no numpy.
 """
 
 from __future__ import annotations
@@ -17,9 +22,6 @@ import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from functools import reduce
-
-import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 __all__ = [
     "ProblemFormatError",
@@ -203,9 +205,21 @@ class ValidatedProblem:
     alpha: float
 
 
+def _polyval(coeffs, t):
+    """The polynomial with ascending coeffs at t, a float or an array of
+    times, by Horner's rule written as numpy.polynomial's polyval writes it,
+    so the two agree bit for bit."""
+    acc = coeffs[-1] + 0.0 * t
+    for c in coeffs[-2::-1]:
+        acc = acc * t + c
+    return acc
+
+
 def _sample(spec, entries, ts):
     """Each polynomial of entries at each time of ts; shape (len(ts),
     len(entries)). Times outside [0, T] raise ValueError."""
+    import numpy as np
+
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if ts.size and (float(ts.min()) < 0.0 or float(ts.max()) > spec.T):
         raise ValueError(
@@ -213,7 +227,7 @@ def _sample(spec, entries, ts):
         )
     out = np.empty((ts.size, len(entries)))
     for k, p in enumerate(entries):
-        out[:, k] = npoly.polyval(ts, p)
+        out[:, k] = _polyval(p, ts)
     return out
 
 
@@ -233,13 +247,58 @@ def sample_f(spec, ts):
     return _sample(spec, spec.f, ts)
 
 
+def _trim(coeffs):
+    """coeffs without trailing zeros, keeping at least one, as
+    numpy.polynomial trims a series."""
+    k = len(coeffs)
+    while k > 1 and coeffs[k - 1] == 0.0:
+        k -= 1
+    return coeffs[:k]
+
+
+def _polyadd(a, b):
+    """a + b as numpy.polynomial's polyadd forms it: both trimmed, the
+    shorter added into the longer, the sum trimmed."""
+    a, b = _trim(a), _trim(b)
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+
+
 def _critical_times(coeffs, T):
     """Real parts of the roots of a polynomial's derivative, clipped to
     [0, T]. With both endpoints they include every point where the
-    polynomial attains its extrema on [0, T]; extra points are harmless."""
-    if len(coeffs) < 3:
-        return np.empty(0)
-    return np.clip(npoly.polyroots(npoly.polyder(coeffs)).real, 0.0, T)
+    polynomial attains its extrema on [0, T]; extra points are harmless.
+
+    The derivative is trimmed as numpy.polynomial's polyroots trims it: a
+    constant has no root and a line the one root -d0/d1, polyroots' own
+    formula. Higher degrees take polyroots' companion eigenvalues, with
+    numpy's floating-point warnings silenced: an infinite root is clipped
+    like any other, and a nan one sorts last (_extremum_times).
+    """
+    d = _trim(tuple(k * coeffs[k] for k in range(1, len(coeffs))))
+    if len(d) < 2:
+        roots = []
+    elif len(d) == 2:
+        roots = [-d[0] / d[1]]
+    else:
+        import numpy as np
+        from numpy.polynomial import polynomial as npoly
+
+        with np.errstate(all="ignore"):
+            roots = npoly.polyroots(d).real.tolist()
+    return [min(max(r, 0.0), T) for r in roots]
+
+
+def _extremum_times(polys, T):
+    """0, T and the critical times of every polynomial of polys, sorted and
+    each kept once; a nan time, if one occurs, is kept once and last, as
+    numpy's unique keeps it."""
+    times = [0.0, T] + [t for c in polys for t in _critical_times(c, T)]
+    ts = sorted(dict.fromkeys(t for t in times if not math.isnan(t)))
+    if any(map(math.isnan, times)):
+        ts.append(math.nan)
+    return ts
 
 
 def validate(spec):
@@ -255,41 +314,39 @@ def validate(spec):
     cancel, or overflow in double, do not disturb it. Under the sign
     condition a row sum equals a_ii - sum_{j != i} |a_ij|, so a positive
     row sum is strict row dominance. A violation reports the earliest of
-    those times at which it shows.
+    those times at which it shows. The arithmetic is on Python floats and
+    raises no warning.
     """
     pairs = [(i, j) for i in range(spec.n) for j in range(spec.n) if i != j]
     off_entries = [spec.A[i][j] for i, j in pairs]
-    row_sums = [reduce(npoly.polyadd, row) for row in spec.A]
-    ts = np.unique(np.concatenate(
-        [[0.0, spec.T]] + [_critical_times(c, spec.T) for c in off_entries + row_sums]
-    ))
-    off = _sample(spec, off_entries, ts)
-    bad = np.argwhere(off > 0.0)
-    if bad.size:
-        s, k = (int(v) for v in bad[0])
-        i, j = pairs[k]
-        raise ProblemValidationError(
-            "off-diagonal-sign",
-            "entry (%d,%d) of the coefficient matrix is positive (%.6g) at t=%.6g"
-            % (i + 1, j + 1, off[s, k], ts[s]),
-            row=i + 1,
-            col=j + 1,
-            t=float(ts[s]),
-        )
-    sums = _sample(spec, row_sums, ts)
-    # written so that a row sum that is not a number (inf - inf) fails too
-    bad = np.argwhere(~(sums > 0.0))
-    if bad.size:
-        s, i = (int(v) for v in bad[0])
-        raise ProblemValidationError(
-            "row-dominance",
-            "row %d of the coefficient matrix is not strictly diagonally dominant "
-            "at t=%.6g (row sum, a_ii - sum_j |a_ij|, is %.6g)"
-            % (i + 1, ts[s], sums[s, i]),
-            row=i + 1,
-            t=float(ts[s]),
-        )
-    alpha = float(sums.min())
+    row_sums = [reduce(_polyadd, row) for row in spec.A]
+    ts = _extremum_times(off_entries + row_sums, spec.T)
+    for t in ts:
+        for (i, j), c in zip(pairs, off_entries):
+            value = _polyval(c, t)
+            if value > 0.0:
+                raise ProblemValidationError(
+                    "off-diagonal-sign",
+                    "entry (%d,%d) of the coefficient matrix is positive (%.6g) at t=%.6g"
+                    % (i + 1, j + 1, value, t),
+                    row=i + 1,
+                    col=j + 1,
+                    t=t,
+                )
+    sums = [[_polyval(c, t) for c in row_sums] for t in ts]
+    for t, row in zip(ts, sums):
+        for i, value in enumerate(row):
+            # written so that a row sum that is not a number (inf - inf) fails too
+            if not value > 0.0:
+                raise ProblemValidationError(
+                    "row-dominance",
+                    "row %d of the coefficient matrix is not strictly diagonally dominant "
+                    "at t=%.6g (row sum, a_ii - sum_j |a_ij|, is %.6g)"
+                    % (i + 1, t, value),
+                    row=i + 1,
+                    t=t,
+                )
+    alpha = min(map(min, sums))
     needed = 2.0 * spec.eps[-1] / alpha
     if spec.T < needed:
         raise ProblemValidationError(

@@ -43,9 +43,10 @@ STABILITY_RTOL = 1e-10
 
 
 class SolveFailureError(RuntimeError):
-    """A step residual is not finite or fails the guard, or a study error
-    is not finite. Validated problems can raise it where coefficients or
-    values overflow in double."""
+    """A step residual is not finite or fails the guard, a study error is
+    not finite, or a closed-form propagator leaves its bounds. Validated
+    problems can raise it where coefficients or values overflow in double,
+    or where eps is too small for the closed form."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,6 +135,13 @@ def _affine_recurrence(p, q, u):
     return np.vstack([u, c.reshape(K * B, n)[:N]])
 
 
+def _max_norms(x):
+    """Maximum norm of each row of x, shape (N, n). numpy reduces slowly
+    along a short axis, so the rows are read from a component-major copy,
+    whose reduction runs along the N-long axis."""
+    return np.abs(np.ascontiguousarray(x.T)).max(axis=0)
+
+
 def march(vp, mesh, u_init):
     """Backward time march over a mesh.
 
@@ -186,10 +194,10 @@ def march(vp, mesh, u_init):
     values = _affine_recurrence(p, q, u)
 
     b = ed * values[:-1] + f
-    residual = np.abs(np.einsum("jik,jk->ji", m, values[1:]) - b).max(axis=1)
-    scale = (np.linalg.norm(m, np.inf, axis=(1, 2))
-             * np.linalg.norm(values[1:], np.inf, axis=1))
-    tol = STEP_RESIDUAL_RTOL * (1.0 + np.abs(b).max(axis=1) + scale)
+    residual = _max_norms(np.einsum("jik,jk->ji", m, values[1:]) - b)
+    # |M_j| row sums, then their maximum: the (i, k, j) copy keeps j contiguous
+    m_norms = np.abs(np.ascontiguousarray(m.transpose(1, 2, 0))).sum(axis=1).max(axis=0)
+    tol = STEP_RESIDUAL_RTOL * (1.0 + _max_norms(b) + m_norms * _max_norms(values[1:]))
     # A non-finite U_j or b_j gives a non-finite residual, which fails even
     # where the tolerance is infinite too; so does a nan tolerance.
     failed = np.flatnonzero(~(np.isfinite(residual) & (residual <= tol)))

@@ -160,14 +160,22 @@ def test_convergence_study_validates_input():
         convergence_study(validate(cases.variable_three_scale()), [16, 32], exact_error)
 
 
-# The closed form overflows inside matrix_exponential at these scales, and
-# numpy warns about it on the way.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_convergence_study_rejects_non_finite_error():
-    vp = validate(cases.constant_two_scale((1e-300, 1e-200)))
-    assert not math.isfinite(exact_error(solve(vp, 16)))
+    vp = validate(cases.constant_two_scale())
     with pytest.raises(SolveFailureError, match="error at N=16 is not finite"):
-        convergence_study(vp, [16, 32], exact_error)
+        convergence_study(vp, [16, 32], lambda grid: math.inf)
+
+
+# Every exact propagator of an admissible problem is nonnegative with row
+# sums at most 1. At (2^-70, 2^-60) the shared squaring count gives row sums
+# up to ~1e49 at the small times, and at (1e-300, 1e-200) infinite ones;
+# numpy warns about the overflow on the way.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("eps", [(2.0 ** -70, 2.0 ** -60), (1e-300, 1e-200)])
+def test_closed_form_fails_closed_outside_propagator_bounds(eps):
+    vp = validate(cases.constant_two_scale(eps))
+    with pytest.raises(SolveFailureError, match="closed-form propagator at t=.* leaves its bounds"):
+        exact_error(solve(vp, 128))
 
 
 def test_convergence_study_steady_rows_are_exact():

@@ -31,6 +31,14 @@ def test_package_names_come_from_module_exports():
     assert public - exported == set()
 
 
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_module_exports_resolve_on_the_package(module):
+    # the numpy-backed modules' names are bound on first use
+    assert [name for name in module.__all__
+            if getattr(layerode, name) is not getattr(module, name)] == []
+    assert sorted(set(module.__all__) - set(dir(layerode))) == []
+
+
 def test_package_exports_no_constants():
     # The modules read their own constants; a copy that the star import
     # puts in the package would change nothing when rebound.

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from dataclasses import asdict
@@ -251,16 +252,49 @@ def test_sweep_jobs_do_not_change_output(tmp_path, capsys):
     assert capsys.readouterr().out == sequential
 
 
-def test_cli_import_loads_no_process_machinery():
-    src = str(Path(layerode.__file__).resolve().parent.parent)
-    code = (
-        "import sys; sys.path.insert(0, %r); import layerode.cli; "
-        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
-        % src
-    )
+SRC = str(Path(layerode.__file__).resolve().parent.parent)
+
+
+def _modules_after(code):
+    # the modules a fresh interpreter has loaded once it ran code (with src
+    # importable); lines that code prints come along and match no module
+    code = "import sys; sys.path.insert(0, %r); %s; print(*sys.modules, sep='\\n')" % (SRC, code)
     done = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout == "[]\n"
+    return set(done.stdout.splitlines())
+
+
+@pytest.mark.parametrize("code", ["import layerode", "import layerode.cli"],
+                         ids=["package", "cli"])
+def test_cli_import_loads_no_process_machinery(code):
+    # nor numpy, which the validate command does without
+    loaded = _modules_after(code)
+    assert sorted({"concurrent.futures", "multiprocessing", "numpy"} & loaded) == []
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: p.stem)
+def test_validate_runs_without_numpy(problem, flags):
+    # -X importtime lists every module the command imports on stderr
+    argv = ["-X", "importtime", "-m", "layerode.cli", "validate", "--problem", str(problem)]
+    done = subprocess.run([sys.executable] + argv + flags, env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.startswith('{"alpha": 2.0' if flags else "alpha = 2")
+    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+    assert "layerode.problem" in imported
+    assert "numpy" not in imported
+
+
+def test_validate_finds_cubic_extrema_with_numpy(tmp_path):
+    # the derivative of 3 - t^2 + t^3 is a quadratic: its roots are numpy's
+    # eigenvalues; the first row sum 2 - t^2 + t^3 is smallest, 50/27, at
+    # t = 2/3
+    spec = cases.constant_two_scale()
+    path = _write_problem(tmp_path, spec, A=[[[3, 0, -1, 1], [-1]], [[-1], [3]]])
+    code = ("from layerode.cli import main; assert main(['validate', '--problem', %r]) == 0"
+            % path)
+    assert "numpy" in _modules_after(code)
+    assert validate(load_problem(path)).alpha == pytest.approx(50 / 27, rel=1e-14)
 
 
 def test_sweep_band_gate(tmp_path, capsys):
@@ -273,19 +307,25 @@ def test_sweep_band_gate(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_non_finite_study_error_exits_6(tmp_path, capsys):
-    # its orders would be nan, and nan < band is False: the gate would pass;
-    # the closed form overflows inside matrix_exponential at these scales,
-    # and numpy's warnings about that must not reach stderr
-    path = _write_problem(tmp_path, cases.constant_two_scale())
-    args = [
-        "sweep", "--problem", path, "--N", "16,32", "--mode", "exact",
-        "--eps-grid", "1e-300,1e-200", "--min-p-uniform", "0.7",
-    ]
-    assert main(args) == EXIT_NUMERICAL
+# A closed-form propagator outside its bounds fails the study; without the
+# check its rows would print (orders near -16 at 2^-70), and at 1e-300 the
+# orders would be nan, which passes any band (nan < band is False). numpy's
+# warnings about the overflow must not reach stderr.
+@pytest.mark.parametrize("args", [
+    ["converge", "--N", "128,256", "--mode", "exact"],
+    ["sweep", "--N", "128,256", "--mode", "exact",
+     "--eps-grid", "%r,%r;0.0001,0.01" % (2.0 ** -70, 2.0 ** -60)],
+    ["sweep", "--N", "16,32", "--mode", "exact",
+     "--eps-grid", "1e-300,1e-200", "--min-p-uniform", "0.7"],
+], ids=["converge", "sweep", "sweep_band"])
+def test_closed_form_outside_bounds_exits_6(tmp_path, capsys, args):
+    path = _write_problem(tmp_path, cases.constant_two_scale(),
+                          eps=[2.0 ** -70, 2.0 ** -60])
+    assert main([args[0], "--problem", path] + args[1:]) == EXIT_NUMERICAL
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "numerical error: error at N=16 is not finite\n"
+    assert captured.err.startswith("numerical error: closed-form propagator at t=")
+    assert captured.err.count("\n") == 1
 
 
 # (problem file data, arguments after --problem FILE, exit code, the one

@@ -37,6 +37,23 @@ def test_polynomial_evaluation_and_degree():
     assert problem_from_dict(_scalar_doc(1.0, f=[])).f == ((0.0,),)
 
 
+def test_sampling_matches_numpy_polyval_bit_for_bit():
+    # one Horner rule, written as npoly.polyval writes it, at array times
+    # and at a scalar time (a one-time array); some coefficients are zero
+    rng = np.random.default_rng(0)
+    ts = np.concatenate([[0.0, 2.0], rng.uniform(0.0, 2.0, size=30)])
+    for _ in range(300):
+        degree = int(rng.integers(0, 17))
+        coeffs = rng.normal(size=degree + 1) * 10.0 ** rng.integers(-3, 4, size=degree + 1)
+        coeffs[rng.random(degree + 1) < 0.2] = 0.0
+        spec = problem_from_dict(_scalar_doc(coeffs.tolist(), f=coeffs[::-1].tolist()))
+        assert np.array_equal(sample_A(spec, ts)[:, 0, 0], npoly.polyval(ts, coeffs))
+        assert np.array_equal(sample_f(spec, ts)[:, 0], npoly.polyval(ts, coeffs[::-1]))
+        t = float(ts[2])
+        assert sample_A(spec, t)[0, 0, 0] == npoly.polyval(t, coeffs)
+        assert sample_f(spec, t)[0, 0] == npoly.polyval(t, coeffs[::-1])
+
+
 def test_polynomial_degree_cap():
     problem_from_dict(_scalar_doc(list(range(17))))
     with pytest.raises(ProblemFormatError, match="degree 17"):
@@ -169,9 +186,9 @@ def test_offdiagonal_positive_between_samples_rejected():
 # A row sum is its own polynomial, not the sum of the sampled entries. In
 # "cancel", entries (1,1) = 1 + 1e17 t^2 and (1,2) = -1e17 t^2 sum to 0 in
 # double at t = 1; in "overflow", (1,1) = 3 + 1e308 t^2 and
-# (1,2) = -1 - 1e308 t^2 overflow at t = 10 (numpy warns on the way), so
-# their sampled sum is inf - inf = nan. The row sums are exactly 1 and 2.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# (1,2) = -1 - 1e308 t^2 overflow at t = 10, so their sampled sum is
+# inf - inf = nan. The row sums are exactly 1 and 2, and validate's
+# arithmetic on Python floats raises no warning.
 @pytest.mark.parametrize("row, T, alpha", [
     ([[1, 0, 1e17], [0, 0, -1e17]], 1.0, 1.0),
     ([[3, 0, 1e308], [-1, 0, -1e308]], 10.0, 2.0),
