@@ -27,7 +27,6 @@ __all__ = [
     "ConvergenceRow",
     "ConvergenceReport",
     "SweepReport",
-    "matrix_exponential",
     "exact_constant_solution",
     "exact_error",
     "two_mesh_difference",
@@ -49,44 +48,19 @@ class OracleUnavailableError(ValueError):
     """The closed-form reference needs constant coefficients."""
 
 
-def matrix_exponential(m):
-    """exp(m) for one (n, n) matrix or for each matrix of a (k, n, n) stack.
-
-    Scaling and squaring with a fixed-degree series: scaled row norms
-    <= 1/2 keep the degree-16 truncation below 1e-16 relative. A stack
-    shares one squaring count, set by its largest row norm, so a single
-    matrix gives bit for bit the entry of a one-matrix stack; the matrices
-    with smaller norms are overscaled (Al-Mohy & Higham, SIAM J. Matrix
-    Anal. Appl. 31, 2009). Raises ValueError for other shapes, an empty
-    matrix or a non-finite entry.
-    """
-    a = np.asarray(m, dtype=float)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
-        raise ValueError(f"expected a square matrix or a stack of them, got {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    ms = a.reshape((-1,) + a.shape[-2:])
-    n = ms.shape[-1]
-    norm = float(np.abs(ms).sum(axis=-1).max())
-    squarings = 0 if norm <= 0.5 else int(math.ceil(math.log2(norm / 0.5)))
-    x = ms / (2.0 ** squarings)
-    eye = np.eye(n)
-    acc = np.zeros_like(ms) + eye * _SERIES_COEFFS[-1]
-    for c in _SERIES_COEFFS[-2::-1]:
-        acc = x @ acc
-        acc += c * eye
-    for _ in range(squarings):
-        acc = acc @ acc
-    return acc.reshape(a.shape)
-
-
 def exact_constant_solution(spec, ts):
     """Closed-form solution at one time or an array of times, for constant
     A and f; shape (len(ts), n), a scalar time counting as one time as in
     sample_A.
 
-    u(t) = A^-1 f + exp(-t E^-1 A) (u(0) - A^-1 f), with every exponential
-    from one matrix_exponential call (one squaring count for all times).
+    u(t) = A^-1 f + exp(-t E^-1 A) (u(0) - A^-1 f). The propagators
+    exp(-t E^-1 A) come from scaling and squaring with a fixed-degree
+    series: scaled row norms <= 1/2 keep the degree-16 truncation below
+    1e-16 relative. All times share one squaring count, set by the
+    largest row norm of the stack of generators -t E^-1 A, so the
+    smaller times are overscaled (Al-Mohy & Higham, SIAM J. Matrix Anal.
+    Appl. 31, 2009). A generator with a non-finite row norm (E^-1 A
+    overflows at tiny eps) raises SolveFailureError.
 
     For a problem that validate accepts, -E^-1 A has nonnegative
     off-diagonal entries and E^-1 A positive row sums, so every exact
@@ -108,7 +82,21 @@ def exact_constant_solution(spec, ts):
         raise ValueError("times must be nonnegative")
     a = sample_A(spec, 0.0)[0]
     steady = np.linalg.solve(a, sample_f(spec, 0.0)[0])
-    exps = matrix_exponential(-ts[:, None, None] * (a / np.asarray(spec.eps)[:, None]))
+    gens = -ts[:, None, None] * (a / np.asarray(spec.eps)[:, None])
+    norm = float(np.abs(gens).sum(axis=-1).max())
+    if not math.isfinite(norm):
+        raise SolveFailureError(
+            "closed-form generator -t E^-1 A is not finite (row norm %g)" % norm
+        )
+    squarings = 0 if norm <= 0.5 else int(math.ceil(math.log2(norm / 0.5)))
+    x = gens / (2.0 ** squarings)
+    eye = np.eye(spec.n)
+    exps = np.zeros_like(x) + eye * _SERIES_COEFFS[-1]
+    for c in _SERIES_COEFFS[-2::-1]:
+        exps = x @ exps
+        exps += c * eye
+    for _ in range(squarings):
+        exps = exps @ exps
     # entries and row sums, reduced along the time axis of an (n, n, len(ts)) copy
     e = np.ascontiguousarray(exps.transpose(1, 2, 0))
     excess = np.maximum(-e.min(axis=(0, 1)), e.sum(axis=1).max(axis=0) - 1.0)

@@ -224,10 +224,13 @@ def decompose(vp, mesh):
     same A, eps, T and alpha, which validate derives from A, eps and T
     alone) from the remainder u(0) - A(0)^-1 f(0), and its grid carries
     that twin. By linearity the parts add up to the full solution to
-    rounding; nothing is subtracted from a computed grid.
+    rounding; nothing is subtracted from a computed grid. A reduced initial
+    value that overflows raises SolveFailureError.
     """
     spec = vp.spec
     v0 = np.linalg.solve(sample_A(spec, 0.0)[0], sample_f(spec, 0.0)[0])
+    if not np.isfinite(v0).all():
+        raise SolveFailureError("reduced initial value A(0)^-1 f(0) is not finite")
     w0 = np.asarray(spec.u0, dtype=float) - v0
     zero_f = ValidatedProblem(replace(spec, f=((0.0,),) * spec.n), vp.alpha)
     smooth = march(vp, mesh, v0)

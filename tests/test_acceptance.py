@@ -22,6 +22,7 @@ from layerode import (
     default_eps_grid,
     exact_error,
     interaction_points,
+    load_problem,
     march,
     solve,
     two_mesh_difference,
@@ -34,6 +35,9 @@ P_UNIFORM_FLOOR = 0.70
 P_CONFIG_BAND = (0.75, 1.15)
 C_FIT_SPREAD = 3.0
 SUITE_N = (16, 64, 256)
+DEEP_N = [128, 256, 512, 1024]
+DEEP_TOPS = (-20, -60, -100, -300)
+DEEP_RTOL = 1e-5
 
 
 def _criterion(num, description, ok, detail):
@@ -207,3 +211,33 @@ def test_criterion_10_oracle_cross_validation():
     ok = worst <= 1e-6
     _criterion(10, "closed form agrees with a brute-force run", ok,
                "max gap %.2e" % worst)
+
+
+def _ratio_grid(n, top_power):
+    """The default grid's entries at its smallest top, 2^-18 (one per
+    ratio), moved to a top of 2^top_power; a power-of-two scale is exact."""
+    scale = 2.0 ** (top_power + 18)
+    return [tuple(e * scale for e in eps)
+            for eps in default_eps_grid(n) if eps[-1] == 2.0 ** -18]
+
+
+def test_criterion_11_uniform_in_all_eps():
+    # the paper's bound is uniform in every eps, so far below the default
+    # grid's 2^-18 the worst-case rows must stay where they are
+    start = time.perf_counter()
+    worst_p, worst_gap = math.inf, 0.0
+    for path in sorted(cases.PROBLEMS.glob("*.json")):
+        spec = load_problem(path)
+        reference = uniform_sweep(spec, _ratio_grid(spec.n, -18), DEEP_N,
+                                  two_mesh_difference).uniform
+        for top_power in DEEP_TOPS:
+            uniform = uniform_sweep(spec, _ratio_grid(spec.n, top_power), DEEP_N,
+                                    two_mesh_difference).uniform
+            worst_p = min([worst_p] + [row.p for row in uniform if row.p is not None])
+            worst_gap = max([worst_gap] + [abs(row.error - ref.error) / ref.error
+                                           for row, ref in zip(uniform, reference)])
+    elapsed = time.perf_counter() - start
+    ok = worst_p >= P_UNIFORM_FLOOR and worst_gap <= DEEP_RTOL
+    _criterion(11, "two-mesh rows stay put down to eps 2^-300", ok,
+               "min p_uniform %.3f, max gap to 2^-18 %.1e, %.2fs"
+               % (worst_p, worst_gap, elapsed))

@@ -18,7 +18,6 @@ from layerode import (
     exact_constant_solution,
     exact_error,
     march,
-    matrix_exponential,
     order_rows,
     solve,
     two_mesh_difference,
@@ -36,44 +35,19 @@ def test_envelope_reaches_reciprocal_n_at_transition():
         assert value == pytest.approx(1.0 / N, rel=1e-12)
 
 
-def test_matrix_exponential_zero_and_nilpotent():
-    assert np.array_equal(matrix_exponential(np.zeros((2, 2))), np.eye(2))
-    m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert np.array_equal(matrix_exponential(m), np.array([[1.0, 1.0], [0.0, 1.0]]))
+def test_closed_form_at_time_zero_is_the_initial_value():
+    spec = cases.layer_two_scale()
+    assert np.array_equal(exact_constant_solution(spec, 0.0)[0], np.array(spec.u0))
 
 
-def test_matrix_exponential_scalar_and_diagonal():
-    assert matrix_exponential(np.array([[-3.0]]))[0, 0] == pytest.approx(
-        math.exp(-3.0), rel=1e-14
-    )
-    m = matrix_exponential(np.diag([-1.0, -2.0]))
-    assert np.allclose(
-        m, np.diag([math.exp(-1.0), math.exp(-2.0)]), rtol=1e-14, atol=0.0
-    )
-    assert m[0, 1] == 0.0 and m[1, 0] == 0.0
-
-
-def test_matrix_exponential_semigroup():
-    m = np.array([[-2.0, 1.0], [1.0, -3.0]])
-    once = matrix_exponential(m)
-    twice = matrix_exponential(2.0 * m)
-    assert np.allclose(once @ once, twice, rtol=1e-12, atol=1e-15)
-
-
-@pytest.mark.parametrize("bad", [
-    np.zeros(3),
-    np.zeros((2, 3)),
-    np.zeros((0, 0)),
-    np.array([[0.0, 1.0], [np.nan, 0.0]]),
-], ids=["1-D", "non-square", "empty", "non-finite"])
-def test_matrix_exponential_rejects_bad_input(bad):
-    with pytest.raises(ValueError):
-        matrix_exponential(bad)
-
-
-def test_matrix_exponential_single_matrix_is_a_one_matrix_stack():
-    m = np.array([[-7.0, 2.5], [1.0, -3.25]])
-    assert np.array_equal(matrix_exponential(m), matrix_exponential(m[None])[0])
+@pytest.mark.parametrize("t", [0.003, 0.05, 0.4])
+def test_closed_form_semigroup(t):
+    # f = 0, so restarting the closed form from u(t) for a time t gives u(2t)
+    spec = cases.layer_two_scale()
+    once = exact_constant_solution(spec, t)[0]
+    restarted = exact_constant_solution(replace(spec, u0=tuple(once.tolist())), t)[0]
+    twice = exact_constant_solution(spec, 2.0 * t)[0]
+    assert np.abs(restarted - twice).max() <= 2e-16 * np.abs(twice).max()
 
 
 def test_closed_form_decoupled_exponentials():

@@ -328,11 +328,19 @@ def test_closed_form_outside_bounds_exits_6(tmp_path, capsys, args):
     assert captured.err.count("\n") == 1
 
 
+OVERFLOWING_GENERATOR = {"n": 2, "T": 1.0, "eps": [1e-300, 1e-200], "u0": [0, 0],
+                         "A": [[1e10, -1], [-1, 1e10]], "f": [1, 1]}
+OVERFLOWING_REDUCED_VALUE = {"n": 1, "T": 2e10, "eps": [1.0], "u0": [0],
+                             "A": [[[1e-10, 1.0]]], "f": [1e300]}
+
 # (problem file data, arguments after --problem FILE, exit code, the one
 # stderr line); numpy warns while computing each, and none of that may
 # reach stderr. The second problem is admissible (its first row sum is
 # exactly 2), but its entries of order 1e308 t^2 overflow in the step
-# matrices; the first step whose residual is nan fails.
+# matrices; the first step whose residual is nan fails. The last two are
+# admissible and solve, but 1e10 / 1e-300 overflows the closed form's
+# generator -t E^-1 A, and A(0)^-1 f(0) = 1e310 overflows the smooth part's
+# initial value.
 NON_FINITE_CASES = [
     ({**asdict(cases.constant_two_scale()), "u0": [1e308, 1e308]},
      ["solve", "--N", "16"], EXIT_NUMERICAL,
@@ -341,11 +349,17 @@ NON_FINITE_CASES = [
       "A": [[[3, 0, 1e308], [-1, 0, -1e308]], [-1, 3]], "f": [2, 2]},
      ["solve", "--N", "16"], EXIT_NUMERICAL,
      "numerical error: step 10 solve residual nan exceeds tolerance\n"),
+    (OVERFLOWING_GENERATOR, ["converge", "--mode", "exact", "--N", "128,256"],
+     EXIT_NUMERICAL,
+     "numerical error: closed-form generator -t E^-1 A is not finite (row norm nan)\n"),
+    (OVERFLOWING_REDUCED_VALUE, ["solve", "--N", "16", "--decompose"], EXIT_NUMERICAL,
+     "numerical error: reduced initial value A(0)^-1 f(0) is not finite\n"),
 ]
 
 
 @pytest.mark.parametrize("data,args,code,err", NON_FINITE_CASES,
-                         ids=["overflowing_u0", "overflowing_A"])
+                         ids=["overflowing_u0", "overflowing_A",
+                              "overflowing_generator", "overflowing_reduced_value"])
 def test_non_finite_values_fail_closed(tmp_path, capsys, data, args, code, err):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -353,6 +367,18 @@ def test_non_finite_values_fail_closed(tmp_path, capsys, data, args, code, err):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == err
+
+
+@pytest.mark.parametrize("data,args", [
+    (OVERFLOWING_GENERATOR, ["solve", "--N", "16"]),
+    (OVERFLOWING_GENERATOR, ["converge", "--N", "128,256"]),
+    (OVERFLOWING_REDUCED_VALUE, ["solve", "--N", "16"]),
+], ids=["generator_solve", "generator_two_mesh", "reduced_value_solve"])
+def test_overflows_outside_a_command_leave_it_working(tmp_path, capsys, data, args):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main([args[0], "--problem", str(path)] + args[1:]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_cancelling_entries_validate_exactly(tmp_path, capsys):
