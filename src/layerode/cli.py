@@ -21,7 +21,10 @@ validate needs only the problem module, which loads no numpy unless an
 entry has degree 3 or more. The numpy-backed names of the other
 subcommands are bound into this module on first use (_bind_numeric), and
 reading one of them on this module binds them too, so a wrapper or test
-double set here replaces what the subcommands call.
+double set here replaces what the subcommands call. The package binds no
+such copies; this module keeps them only because benchmarks/trace_cli.py
+wraps names here and two tests set doubles here, until a run records its
+own stage timings.
 """
 
 from __future__ import annotations

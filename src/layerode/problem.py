@@ -21,7 +21,7 @@ import math
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from functools import reduce
+from itertools import zip_longest
 
 __all__ = [
     "ProblemFormatError",
@@ -256,15 +256,6 @@ def _trim(coeffs):
     return coeffs[:k]
 
 
-def _polyadd(a, b):
-    """a + b as numpy.polynomial's polyadd forms it: both trimmed, the
-    shorter added into the longer, the sum trimmed."""
-    a, b = _trim(a), _trim(b)
-    if len(a) < len(b):
-        a, b = b, a
-    return _trim(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
-
-
 def _critical_times(coeffs, T):
     """Real parts of the roots of a polynomial's derivative, clipped to
     [0, T]. With both endpoints they include every point where the
@@ -319,7 +310,9 @@ def validate(spec):
     """
     pairs = [(i, j) for i in range(spec.n) for j in range(spec.n) if i != j]
     off_entries = [spec.A[i][j] for i, j in pairs]
-    row_sums = [reduce(_polyadd, row) for row in spec.A]
+    # coefficient by coefficient; -0.0 is the sum's identity, so zero signs stay
+    row_sums = [tuple(sum(col, -0.0) for col in zip_longest(*row, fillvalue=-0.0))
+                for row in spec.A]
     ts = _extremum_times(off_entries + row_sums, spec.T)
     for t in ts:
         for (i, j), c in zip(pairs, off_entries):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from layerode import ProblemSpec, load_problem, validate
+from layerode.problem import ProblemSpec, load_problem, validate
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 

@@ -12,22 +12,21 @@ import numpy as np
 import pytest
 
 import cases
-from layerode import (
+from layerode.analysis import (
+    default_eps_grid,
+    exact_error,
+    two_mesh_difference,
+    uniform_sweep,
+)
+from layerode.mesh import build_mesh, bisect_mesh, interaction_points
+from layerode.problem import load_problem, validate
+from layerode.solver import (
     SolutionGrid,
-    build_mesh,
-    bisect_mesh,
     certify_max_principle,
     certify_stability,
     decompose,
-    default_eps_grid,
-    exact_error,
-    interaction_points,
-    load_problem,
     march,
     solve,
-    two_mesh_difference,
-    uniform_sweep,
-    validate,
 )
 
 SWEEP_N = [128, 256, 512, 1024, 2048]

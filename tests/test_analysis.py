@@ -7,23 +7,20 @@ import numpy as np
 import pytest
 
 import cases
-from layerode import (
+from layerode.analysis import (
     OracleUnavailableError,
-    SolveFailureError,
-    build_mesh,
-    bisect_mesh,
     convergence_study,
     default_eps_grid,
     eps_label,
     exact_constant_solution,
     exact_error,
-    march,
     order_rows,
-    solve,
     two_mesh_difference,
     uniform_sweep,
-    validate,
 )
+from layerode.mesh import build_mesh, bisect_mesh
+from layerode.problem import validate
+from layerode.solver import SolveFailureError, march, solve
 
 
 def test_envelope_reaches_reciprocal_n_at_transition():
@@ -55,6 +52,33 @@ def test_closed_form_decoupled_exponentials():
     u = exact_constant_solution(spec, 0.5)[0]
     assert u[0] == pytest.approx(1.2664165549094176e-14, rel=1e-12)
     assert u[1] == pytest.approx(0.1353352832366127, rel=1e-13)
+
+
+# Yardstick for the oracle against a 50-digit reference, at every 64th point
+# of the N = 1024 mesh. Each bound is twice the shared-squaring-count error
+# measured when it was set (1.12e-15, 3.84e-11, 1.14e-7); an oracle that
+# gives each time its own squaring count should tighten them.
+@pytest.mark.parametrize("eps, bound", [
+    ((2.0 ** -2, 1.0), 2.3e-15),
+    ((2.0 ** -20, 2.0 ** -18), 7.7e-11),
+    ((2.0 ** -28, 2.0 ** -18), 2.3e-7),
+], ids=["2^-2,1", "2^-20,2^-18", "2^-28,2^-18"])
+def test_closed_form_against_50_digit_reference(eps, bound):
+    mpmath = pytest.importorskip("mpmath")
+    spec = cases.constant_two_scale(eps)
+    ts = build_mesh(validate(spec), 1024).points[::64]
+    with mpmath.workdps(50):
+        A = mpmath.matrix([[c[0] for c in row] for row in spec.A])
+        steady = mpmath.lu_solve(A, mpmath.matrix([c[0] for c in spec.f]))
+        generator = -(mpmath.diag([1 / mpmath.mpf(e) for e in eps]) * A)
+        w0 = mpmath.matrix(spec.u0) - steady
+        errors = [
+            float(mpmath.norm(mpmath.matrix(u.tolist()) - steady
+                              - mpmath.expm(t * generator) * w0, mpmath.inf))
+            for t, u in zip(ts.tolist(), exact_constant_solution(spec, ts))
+        ]
+    assert len(errors) == 17
+    assert max(errors) <= bound
 
 
 def test_closed_form_initial_value():

@@ -1,10 +1,12 @@
-"""Public names: every export resolves, the package exports nothing that
-its modules do not list, no module or test file imports a name it never
-uses, the package imports nothing beyond the standard library and numpy,
-and the tests nothing beyond those, pytest and their own modules."""
+"""Public names: every export resolves, the package binds none of them
+itself, the README's library example runs, no module or test file imports a
+name it never uses, the package imports nothing beyond the standard library
+and numpy, and the tests nothing beyond those, pytest and their own
+modules."""
 
 import ast
 import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -22,39 +24,33 @@ def test_module_exports_exist(module):
     assert missing == []
 
 
-def test_package_names_come_from_module_exports():
-    exported = {name for module in MODULES for name in module.__all__}
-    public = {
-        name for name, value in vars(layerode).items()
-        if not name.startswith("_") and not inspect.ismodule(value)
-    }
-    assert public - exported == set()
+def test_package_binds_only_its_modules_and_version():
+    # Each public name has one home, the module whose __all__ lists it.
+    bound = vars(layerode)
+    assert [name for name, value in bound.items()
+            if not name.startswith("__") and not inspect.ismodule(value)] == []
+    assert sorted({"__all__", "__dir__", "__getattr__"} & set(bound)) == []
+    assert isinstance(layerode.__version__, str)
 
 
-@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
-def test_module_exports_resolve_on_the_package(module):
-    # the numpy-backed modules' names are bound on first use
-    assert [name for name in module.__all__
-            if getattr(layerode, name) is not getattr(module, name)] == []
-    assert sorted(set(module.__all__) - set(dir(layerode))) == []
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def test_package_exports_no_constants():
-    # The modules read their own constants; a copy that the star import
-    # puts in the package would change nothing when rebound.
-    assert [name for name in vars(layerode) if name.isupper()] == []
+def test_readme_library_example_runs(capsys):
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(code, {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6
+    assert lines[2] == "((0.0,), (0.0,))"
 
 
 TEST_SOURCES = sorted(Path(__file__).parent.glob("*.py"))
-SOURCES = sorted(
-    path for path in Path(layerode.__file__).parent.glob("*.py")
-    if path.name != "__init__.py"
-) + TEST_SOURCES
+PACKAGE_SOURCES = sorted(Path(layerode.__file__).parent.glob("*.py"))
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PACKAGE_SOURCES + TEST_SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    # __init__.py only re-exports the modules' __all__, so it is left out.
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
@@ -64,9 +60,6 @@ def test_no_unused_imports(path):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
-
-
-PACKAGE_SOURCES = sorted(Path(layerode.__file__).parent.glob("*.py"))
 
 
 def _third_party_imports(path):

@@ -14,15 +14,7 @@ import pytest
 
 import cases
 import layerode
-from layerode import (
-    build_mesh,
-    decompose,
-    default_eps_grid,
-    eps_label,
-    load_problem,
-    solve,
-    validate,
-)
+from layerode.analysis import default_eps_grid, eps_label
 from layerode.cli import (
     EXIT_BAND,
     EXIT_CERTIFICATE,
@@ -35,6 +27,9 @@ from layerode.cli import (
     _fmt,
     main,
 )
+from layerode.mesh import build_mesh
+from layerode.problem import load_problem, validate
+from layerode.solver import decompose, solve
 
 PROBLEMS = sorted(cases.PROBLEMS.glob("*.json"))
 

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 import cases
-from layerode import (
+from layerode.mesh import (
     MeshError,
     bisect_mesh,
     build_mesh,
     interaction_points,
-    validate,
 )
+from layerode.problem import validate
 
 
 def test_sigmas_two_scales_layer_branch():

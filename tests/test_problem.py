@@ -7,7 +7,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 import cases
-from layerode import (
+from layerode.problem import (
     ProblemFormatError,
     ProblemSpec,
     ProblemValidationError,

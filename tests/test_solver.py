@@ -6,19 +6,16 @@ import numpy as np
 import pytest
 
 import cases
-from layerode import (
-    ShishkinMesh,
+from layerode.mesh import ShishkinMesh, build_mesh
+from layerode.problem import sample_A, sample_f, validate
+from layerode.solver import (
     SolveFailureError,
-    build_mesh,
     certify_max_principle,
     certify_stability,
     decompose,
     march,
-    sample_A,
-    sample_f,
     solve,
     step_matrices,
-    validate,
 )
 
 SUITE_N = (16, 64)
