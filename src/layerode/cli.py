@@ -15,7 +15,10 @@ algebra reported a singular matrix). numpy's floating-point warnings are
 silenced, since each of those failures has its exit code. Text and CSV
 output write numbers with 17 significant digits, and --json output with
 Python's shortest round-trip repr (2.0, not 2); either way output is
-byte-identical across runs and floats round-trip exactly.
+byte-identical across runs and floats round-trip exactly. Output is written
+block by block as it is formatted; if the reader closes stdout early (as
+`| head` does), the rest is dropped without a message and the command
+returns the exit code it would have returned.
 
 validate needs only the problem module, which loads no numpy unless an
 entry has degree 3 or more. The numpy-backed names of the other
@@ -33,8 +36,10 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
+import os
 import sys
 
 from .problem import (
@@ -113,24 +118,38 @@ def _csv_line(fields):
     return buf.getvalue()
 
 
-def _table_lines(table):
-    """CSV rows of a numeric table: the first column as an integer, the
-    others with 17 significant digits like _fmt. One row format is applied
-    to 1024 rows at a time, which bounds the Python floats alive at once;
-    each returned string holds one such block."""
-    rows, cols = table.shape
-    row = ",".join(["%d"] + ["%.17g"] * (cols - 1))
-    blocks = (table[start:start + 1024] for start in range(0, rows, 1024))
-    return ["\n".join([row] * len(b)) % tuple(b.ravel().tolist()) for b in blocks]
+def _table_lines(columns):
+    """CSV rows of a numeric table given as its columns, each an array with
+    one entry or one row of entries per table row: the first column as an
+    integer, the others with 17 significant digits like _fmt. Blocks of 256
+    rows are taken from the columns and formatted one at a time, with one
+    row format each, so neither the whole table nor the Python floats of
+    more than one block are held; each yielded string holds one block."""
+    for start in range(0, len(columns[0]), 256):
+        block = np.column_stack([column[start:start + 256] for column in columns])
+        row = ",".join(["%d"] + ["%.17g"] * (block.shape[1] - 1))
+        yield "\n".join([row] * len(block)) % tuple(block.ravel().tolist())
 
 
 def _emit(lines, out_path):
-    text = "\n".join([*lines, ""])
-    if out_path is None or out_path == "-":
-        sys.stdout.write(text)
-    else:
+    """Write each of lines, ended by a newline, to out_path, or to stdout
+    when it is None or "-", as it is produced. If the reader of stdout
+    closes it early, the rest of the output is dropped: stdout is pointed at
+    os.devnull, so that the interpreter's final flush cannot raise either,
+    and the command goes on to its own exit code."""
+    if out_path is not None and out_path != "-":
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for line in lines:
+                fh.write(line + "\n")
+        return
+    try:
+        for line in lines:
+            sys.stdout.write(line + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _int_list(text):
@@ -187,10 +206,8 @@ def _cmd_mesh(args):
         "j,t_j,delta_j",
         "0,%s," % _fmt(mesh.points[0]),
     ]
-    lines += _table_lines(np.column_stack(
-        [np.arange(1, mesh.N + 1), mesh.points[1:], mesh.deltas]
-    ))
-    _emit(lines, args.out)
+    rows = _table_lines([np.arange(1, mesh.N + 1), mesh.points[1:], mesh.deltas])
+    _emit(itertools.chain(lines, rows), args.out)
     return EXIT_OK
 
 
@@ -220,8 +237,7 @@ def _cmd_solve(args):
         header += ["W_%d" % (i + 1) for i in range(n)]
         columns += [parts.smooth.values, parts.singular.values]
     lines.append(_csv_line(header))
-    lines += _table_lines(np.column_stack(columns))
-    _emit(lines, args.out)
+    _emit(itertools.chain(lines, _table_lines(columns)), args.out)
     if not certificates_ok:
         print("error: a solve certificate failed; see the header comments", file=sys.stderr)
         return EXIT_CERTIFICATE

@@ -5,10 +5,13 @@ A and f from sample_A and sample_f on all step times at once; the layer part
 of decompose is the same march on the problem's zero-forcing twin. Step
 matrices inherit positive diagonals, nonpositive off-diagonal entries and
 strict row dominance from A(t), so every step is a monotone
-(inverse-nonnegative) solve. The march builds and inverts all N step
-matrices at once, evaluates the affine recurrence U_j = P_j U_{j-1} + q_j as
-a blocked scan in about 2 sqrt(N) vectorized iterations, and then checks
-every step's residual in one vectorized pass.
+(inverse-nonnegative) solve. The march builds all N step matrices at once,
+pads the stack with identities to the scan's block shape and inverts it in
+one call, evaluates the affine recurrence U_j = P_j U_{j-1} + q_j as a
+blocked scan in about 2 sqrt(N) vectorized iterations on the inverses in
+place, and then checks every step's residual in one vectorized pass. At
+most two (N, n, n) stacks are live at once: the step matrices and their
+inverses.
 The certificates at the bottom of this module check the two consequences of
 the monotone structure on computed grids: preservation of nonnegative data
 and the maximum-norm stability bound.
@@ -90,20 +93,28 @@ def step_matrices(vp, mesh):
     return m
 
 
+def _scan_blocks(N):
+    """Block count K and block length B of the scan over N steps:
+    B = isqrt(N) and K = ceil(N / B), so K B - N < B padding steps."""
+    B = math.isqrt(N)
+    return -(-N // B), B
+
+
 def _affine_recurrence(p, q, u):
     """Run U_j = P_j U_{j-1} + q_j from U_0 = u; row j of the result is U_j.
 
-    p holds the maps P_j, shape (N, n, n); q holds the offsets q_j, shape
-    (N, n).
+    q holds the offsets q_j, shape (N, n). p holds the maps P_j in its first
+    N entries, followed by identities up to the scan's K B entries
+    (_scan_blocks): the caller pads p, so the scan needs no padded copy of
+    it, and p is composed in place.
 
-    The recurrence is a blocked scan. The steps are cut into K = ceil(N / B)
-    blocks of B = isqrt(N) steps; the last block is padded up to B steps
-    with identity maps and zero offsets, which change nothing exactly
-    (I S = S and I c + 0 = c). Within every block the prefix maps
-    U -> S_i U + c_i are composed in place, vectorized across blocks in
-    B - 1 iterations. The block ends are then carried across the blocks,
-    one iteration per block, and each block's prefix maps are applied to
-    its start value in one batched product.
+    The recurrence is a blocked scan. The steps are cut into K blocks of B
+    steps; the identity maps and zero offsets that pad the last block
+    change nothing exactly (I S = S and I c + 0 = c). Within every block
+    the prefix maps U -> S_i U + c_i are composed in place, vectorized
+    across blocks in B - 1 iterations. The block ends are then carried
+    across the blocks, one iteration per block, and each block's prefix
+    maps are applied to its start value in one batched product.
 
     When P_j is nonnegative with row sums at most one, as in a march, every
     composed map is a nonnegative contraction and the error stays relative
@@ -115,13 +126,11 @@ def _affine_recurrence(p, q, u):
     maps would round it.
     """
     N, n = q.shape
-    if (np.einsum("jik,k->ji", p, u) + q == u).all():
+    if (np.einsum("jik,k->ji", p[:N], u) + q == u).all():
         return np.tile(u, (N + 1, 1))
 
-    B = math.isqrt(N)
-    K = -(-N // B)
-    identity = np.broadcast_to(np.eye(n), (K * B - N, n, n))
-    s = np.concatenate([p, identity]).reshape(K, B, n, n)
+    K, B = _scan_blocks(N)
+    s = p.reshape(K, B, n, n)
     c = np.concatenate([q, np.zeros((K * B - N, n))]).reshape(K, B, n)
     for i in range(1, B):
         # S_i = P_i S_{i-1} in place of P_i, c_i = P_i c_{i-1} + q_i
@@ -139,18 +148,23 @@ def _max_norms(x):
     """Maximum norm of each row of x, shape (N, n). numpy reduces slowly
     along a short axis, so the rows are read from a component-major copy,
     whose reduction runs along the N-long axis."""
-    return np.abs(np.ascontiguousarray(x.T)).max(axis=0)
+    return np.abs(x.T, order="C").max(axis=0)
 
 
 def march(vp, mesh, u_init):
     """Backward time march over a mesh.
 
-    All N step matrices M_j are built and inverted in one batched call, and
-    each step becomes the affine map U_j = P_j U_{j-1} + q_j with
-    P_j = M_j^-1 diag(eps)/delta_j and q_j = M_j^-1 f(t_j). The recurrence
-    is evaluated as a blocked scan in about 2 sqrt(N) vectorized iterations
-    (see _affine_recurrence). Afterwards every step is checked against the
-    system it solves, in one vectorized pass: the residual guard requires
+    All N step matrices M_j are built, their |M_j| row sums taken for the
+    guard below, and the stack is padded with identity matrices to the
+    scan's K B steps before one batched inversion; inv(I) is exactly I, so
+    the inverses come out padded as the scan needs them. Each step becomes
+    the affine map U_j = P_j U_{j-1} + q_j with P_j = M_j^-1 diag(eps)/delta_j
+    and q_j = M_j^-1 f(t_j). The recurrence is evaluated as a blocked scan
+    in about 2 sqrt(N) vectorized iterations, composing the P_j in place
+    (see _affine_recurrence), and the maps are dropped before the guard, so
+    at most two (N, n, n) stacks are live at once. Afterwards every step is
+    checked against the system it solves, in one vectorized pass: the
+    residual guard requires
     |M_j U_j - b_j| <= STEP_RESIDUAL_RTOL * (1 + |b_j| + |M_j| |U_j|) in the
     maximum norm, with b_j = diag(eps)/delta_j U_{j-1} + f(t_j), a bound on
     the normwise backward error of each solve; the first step that fails
@@ -185,18 +199,32 @@ def march(vp, mesh, u_init):
     if u.shape != (n,) or not np.isfinite(u).all():
         raise ValueError("initial value must be a finite vector of length %d" % n)
 
+    N = mesh.N
+    K, B = _scan_blocks(N)
     ed = np.asarray(spec.eps) / mesh.deltas[:, None]
     m = step_matrices(vp, mesh)
-    f = sample_f(spec, mesh.points[1:])
+    # |M_j| row sums, then their maximum: the (i, k, j) copy keeps j
+    # contiguous, and it is the one copy of the stack taken here
+    m_abs = np.ascontiguousarray(m.transpose(1, 2, 0))
+    m_norms = np.abs(m_abs, out=m_abs).sum(axis=1).max(axis=0)
+    del m_abs
+    # inv(I) is exactly I, so the identities that pad the stack to the
+    # scan's K B steps come out of the one inv call already in place
+    m = np.concatenate([m, np.broadcast_to(np.eye(n), (K * B - N, n, n))])
     p = np.linalg.inv(m)
-    q = np.einsum("jik,jk->ji", p, f)
-    p *= ed[:, None, :]
+    m = m[:N]
+    f = sample_f(spec, mesh.points[1:])
+    q = np.einsum("jik,jk->ji", p[:N], f)
+    p[:N] *= ed[:, None, :]
     values = _affine_recurrence(p, q, u)
+    del p, q
 
-    b = ed * values[:-1] + f
-    residual = _max_norms(np.einsum("jik,jk->ji", m, values[1:]) - b)
-    # |M_j| row sums, then their maximum: the (i, k, j) copy keeps j contiguous
-    m_norms = np.abs(np.ascontiguousarray(m.transpose(1, 2, 0))).sum(axis=1).max(axis=0)
+    b = ed * values[:-1]
+    b += f
+    del ed, f
+    residual = np.einsum("jik,jk->ji", m, values[1:])
+    residual -= b
+    residual = _max_norms(residual)
     tol = STEP_RESIDUAL_RTOL * (1.0 + _max_norms(b) + m_norms * _max_norms(values[1:]))
     # A non-finite U_j or b_j gives a non-finite residual, which fails even
     # where the tolerance is infinite too; so does a nan tolerance.

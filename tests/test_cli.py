@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -146,16 +147,38 @@ def test_solve_output_is_deterministic(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_out_file_matches_stdout_with_lf_endings(tmp_path, capsys):
-    path = _write_problem(tmp_path, cases.layer_two_scale())
-    target = tmp_path / "mesh.csv"
-    assert main(["mesh", "--problem", path, "--N", "8", "--out", str(target)]) == EXIT_OK
+@pytest.mark.parametrize("spec,args", [
+    (cases.layer_two_scale(), ["mesh", "--N", "8"]),
+    # 1033 rows: four whole output blocks and a partial one
+    (cases.variable_three_scale(), ["solve", "--N", "1032", "--decompose", "--certify"]),
+], ids=["mesh", "solve_blocks"])
+def test_out_file_matches_stdout_with_lf_endings(tmp_path, capsys, spec, args):
+    argv = [args[0], "--problem", _write_problem(tmp_path, spec)] + args[1:]
+    target = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(target)]) == EXIT_OK
     capsys.readouterr()
-    assert main(["mesh", "--problem", path, "--N", "8"]) == EXIT_OK
+    assert main(argv + ["--out", "-"]) == EXIT_OK
     piped = capsys.readouterr().out
     data = target.read_bytes()
     assert b"\r" not in data
     assert data.decode("utf-8") == piped
+
+
+def test_solve_output_streams_to_its_file(tmp_path):
+    # The table is formatted and written one block at a time, so the traced
+    # peak (numpy reports its buffers to tracemalloc) stays below twice the
+    # file's size; holding the whole text, or a stacked table, would not.
+    source = cases.PROBLEMS / "variable_three_scale.json"
+    target = tmp_path / "solve.csv"
+    argv = ["solve", "--problem", str(source), "--N", "8192", "--decompose", "--certify",
+            "--out", str(target)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * target.stat().st_size
 
 
 def test_converge_band_gate(tmp_path, capsys):
@@ -278,6 +301,20 @@ def test_validate_runs_without_numpy(problem, flags):
     imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
     assert "layerode.problem" in imported
     assert "numpy" not in imported
+
+
+def test_closed_stdout_ends_the_output_quietly():
+    # The reader takes one line of a 13 MB table and closes the pipe; the
+    # rest of the output is dropped and the command exits as it would have.
+    source = cases.PROBLEMS / "variable_three_scale.json"
+    argv = [sys.executable, "-m", "layerode.cli", "mesh", "--problem", str(source),
+            "--N", "262144"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.stdout.readline().startswith(b"# sigmas = ")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (EXIT_OK, b"")
 
 
 def test_validate_finds_cubic_extrema_with_numpy(tmp_path):

@@ -1,5 +1,6 @@
 """Implicit march, decomposition, operator identity and certificates."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -156,6 +157,24 @@ def test_decayed_solution_passes_the_residual_guard_at_large_N(forcing):
     vp = validate(forcing(cases.layer_two_scale()))
     values = march(vp, build_mesh(vp, 2 ** 16), (2.0, 2.0)).values
     assert np.abs(values[-1]).max() < 1e-6
+
+
+@pytest.mark.parametrize("name,spec", cases.suite())
+def test_march_holds_at_most_two_step_stacks(name, spec):
+    # The bound allows the two (N, n, n) stacks a march needs, the step
+    # matrices and their inverses, and eight (N, n) arrays besides; numpy
+    # reports its buffers to tracemalloc.
+    vp = validate(spec)
+    n, N = spec.n, 2 ** 14
+    mesh = build_mesh(vp, N)
+    march(vp, build_mesh(vp, 16), spec.u0)  # numpy's lazy set-up, untraced
+    tracemalloc.start()
+    try:
+        march(vp, mesh, spec.u0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 * n * n + 8 * n) * 8 * N
 
 
 def test_decomposition_initial_split():
