@@ -9,8 +9,9 @@ or malformed input or a mesh too large for memory, 3 problem validation
 failure, 4 mesh construction failure, 5 requested convergence band not met,
 6 numerical failure (a step's residual was not finite or failed the fixed
 1e-12 backward-error guard, a study's error was not finite, a closed-form
-propagator left its bounds, the closed form's generator -t E^-1 A or the
-smooth part's initial value A(0)^-1 f(0) overflowed, or numpy's linear
+propagator left its bounds, the closed form's generator -t E^-1 A, the
+smooth part's initial value A(0)^-1 f(0) or the stability certificate's
+bound overflowed, or numpy's linear
 algebra reported a singular matrix). numpy's floating-point warnings are
 silenced, since each of those failures has its exit code. Text and CSV
 output write numbers with 17 significant digits, and --json output with

@@ -265,9 +265,16 @@ def _critical_times(coeffs, T):
     constant has no root and a line the one root -d0/d1, polyroots' own
     formula. Higher degrees take polyroots' companion eigenvalues, with
     numpy's floating-point warnings silenced: an infinite root is clipped
-    like any other, and a nan one sorts last (_extremum_times).
+    like any other, and a nan one sorts last (_extremum_times). Where a
+    coefficient k c_k would overflow, every c_k is first scaled by one power
+    of two, exactly above the subnormal range, so the ratios polyroots and
+    -d0/d1 use are kept; where a ratio overflows in polyroots' companion
+    matrix, the roots come from _roots_within.
     """
-    d = _trim(tuple(k * coeffs[k] for k in range(1, len(coeffs))))
+    scale = 1.0
+    if not all(math.isfinite(k * coeffs[k]) for k in range(1, len(coeffs))):
+        scale = 0.5 ** (len(coeffs) - 1).bit_length()
+    d = _trim(tuple(k * (coeffs[k] * scale) for k in range(1, len(coeffs))))
     if len(d) < 2:
         roots = []
     elif len(d) == 2:
@@ -277,8 +284,33 @@ def _critical_times(coeffs, T):
         from numpy.polynomial import polynomial as npoly
 
         with np.errstate(all="ignore"):
-            roots = npoly.polyroots(d).real.tolist()
+            try:
+                roots = npoly.polyroots(d).real.tolist()
+            except np.linalg.LinAlgError:
+                roots = _roots_within(d, T)
     return [min(max(r, 0.0), T) for r in roots]
+
+
+def _roots_within(d, T):
+    """Real parts of roots of the polynomial with ascending coefficients d,
+    among them every root in [0, T], for a d whose coefficient ratios
+    overflow.
+
+    In tau = t / 2^e, with T < 2^e, the coefficients are d_k 2^(k e), all
+    scaled by one power of two so that the largest lies in [1/2, 1). The
+    leading ones below 2^-1022 are dropped, so that no ratio overflows: on
+    |tau| <= 1, where every root in [0, T] lies, they add up to less than
+    2^-1018. The roots in tau are scaled back by 2^e.
+    """
+    import numpy as np
+    from numpy.polynomial import polynomial as npoly
+
+    e = math.frexp(T)[1]
+    top = max(math.frexp(c)[1] + k * e for k, c in enumerate(d) if c)
+    g = [math.ldexp(c, k * e - top) for k, c in enumerate(d)]
+    while abs(g[-1]) < 2.0 ** -1022:
+        g.pop()
+    return np.ldexp(npoly.polyroots(g).real, e).tolist()
 
 
 def _extremum_times(polys, T):

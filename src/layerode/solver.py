@@ -5,13 +5,16 @@ A and f from sample_A and sample_f on all step times at once; the layer part
 of decompose is the same march on the problem's zero-forcing twin. Step
 matrices inherit positive diagonals, nonpositive off-diagonal entries and
 strict row dominance from A(t), so every step is a monotone
-(inverse-nonnegative) solve. The march builds all N step matrices at once,
-pads the stack with identities to the scan's block shape and inverts it in
-one call, evaluates the affine recurrence U_j = P_j U_{j-1} + q_j as a
-blocked scan in about 2 sqrt(N) vectorized iterations on the inverses in
-place, and then checks every step's residual in one vectorized pass. At
-most two (N, n, n) stacks are live at once: the step matrices and their
-inverses.
+(inverse-nonnegative) solve. The march runs in at most 8 chunks of at
+least 2048 steps, each from the last value of the one before, into one
+(N+1, n) grid. A chunk builds its step matrices into a stack padded with
+identities to its own scan's block shape and inverts it in one call,
+evaluates the affine recurrence U_j = P_j U_{j-1} + q_j as a blocked scan
+in about 2 sqrt(L) vectorized iterations on the inverses in place (L steps
+in the chunk), and then checks each of its steps' residuals in one
+vectorized pass. At most two stacks of one chunk are live at once: its
+step matrices and their inverses, about a quarter of one (N, n, n) stack
+on a long march.
 The certificates at the bottom of this module check the two consequences of
 the monotone structure on computed grids: preservation of nonnegative data
 and the maximum-norm stability bound.
@@ -46,10 +49,11 @@ STABILITY_RTOL = 1e-10
 
 
 class SolveFailureError(RuntimeError):
-    """A step residual is not finite or fails the guard, a study error is
-    not finite, or a closed-form propagator leaves its bounds. Validated
-    problems can raise it where coefficients or values overflow in double,
-    or where eps is too small for the closed form."""
+    """A step residual is not finite or fails the guard, a study error or
+    the stability bound is not finite, or a closed-form propagator leaves
+    its bounds. Validated problems can raise it where coefficients or
+    values overflow in double, or where eps is too small for the closed
+    form."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,9 +91,18 @@ def step_matrices(vp, mesh):
 
     Entry j-1 is diag(eps)/delta_j + A(t_j), the matrix of step j.
     """
-    m = sample_A(vp.spec, mesh.points[1:])
-    idx = np.arange(vp.spec.n)
-    m[:, idx, idx] += np.asarray(vp.spec.eps) / mesh.deltas[:, None]
+    return _step_matrices(vp.spec, mesh, 0, mesh.N, mesh.N)
+
+
+def _step_matrices(spec, mesh, lo, hi, size):
+    """The matrices of steps lo+1 .. hi in the first hi - lo entries of a
+    (size, n, n) stack, and identity matrices in the entries after them."""
+    n = spec.n
+    m = np.empty((size, n, n))
+    m[hi - lo:] = np.eye(n)
+    m[:hi - lo] = sample_A(spec, mesh.points[lo + 1:hi + 1])
+    idx = np.arange(n)
+    m[:hi - lo, idx, idx] += np.asarray(spec.eps) / mesh.deltas[lo:hi, None]
     return m
 
 
@@ -100,13 +113,14 @@ def _scan_blocks(N):
     return -(-N // B), B
 
 
-def _affine_recurrence(p, q, u):
-    """Run U_j = P_j U_{j-1} + q_j from U_0 = u; row j of the result is U_j.
+def _affine_recurrence(p, q, out):
+    """Run U_j = P_j U_{j-1} + q_j from U_0 = out[0], writing U_j into
+    out[j] for j = 1 .. N.
 
     q holds the offsets q_j, shape (N, n). p holds the maps P_j in its first
     N entries, followed by identities up to the scan's K B entries
-    (_scan_blocks): the caller pads p, so the scan needs no padded copy of
-    it, and p is composed in place.
+    (_scan_blocks(N)): the caller pads p to the shape of this scan, so the
+    scan needs no padded copy of it, and p is composed in place.
 
     The recurrence is a blocked scan. The steps are cut into K blocks of B
     steps; the identity maps and zero offsets that pad the last block
@@ -126,8 +140,10 @@ def _affine_recurrence(p, q, u):
     maps would round it.
     """
     N, n = q.shape
+    u = out[0]
     if (np.einsum("jik,k->ji", p[:N], u) + q == u).all():
-        return np.tile(u, (N + 1, 1))
+        out[1:] = u
+        return
 
     K, B = _scan_blocks(N)
     s = p.reshape(K, B, n, n)
@@ -141,7 +157,7 @@ def _affine_recurrence(p, q, u):
     for k in range(K - 1):
         starts[k + 1] = s[k, -1] @ starts[k] + c[k, -1]
     c += np.einsum("kbij,kj->kbi", s, starts)
-    return np.vstack([u, c.reshape(K * B, n)[:N]])
+    out[1:] = c.reshape(K * B, n)[:N]
 
 
 def _max_norms(x):
@@ -154,22 +170,27 @@ def _max_norms(x):
 def march(vp, mesh, u_init):
     """Backward time march over a mesh.
 
-    All N step matrices M_j are built, their |M_j| row sums taken for the
-    guard below, and the stack is padded with identity matrices to the
-    scan's K B steps before one batched inversion; inv(I) is exactly I, so
-    the inverses come out padded as the scan needs them. Each step becomes
-    the affine map U_j = P_j U_{j-1} + q_j with P_j = M_j^-1 diag(eps)/delta_j
-    and q_j = M_j^-1 f(t_j). The recurrence is evaluated as a blocked scan
-    in about 2 sqrt(N) vectorized iterations, composing the P_j in place
-    (see _affine_recurrence), and the maps are dropped before the guard, so
-    at most two (N, n, n) stacks are live at once. Afterwards every step is
-    checked against the system it solves, in one vectorized pass: the
-    residual guard requires
+    The N steps are marched in chunks of max(2048, ceil(N/8)) steps (at
+    most 8 chunks, and one chunk when N <= 2048), each from the last value
+    of the chunk before it, into one (N+1, n) grid. A chunk of L steps
+    builds its step matrices M_j into a stack padded with identity matrices
+    to its own scan shape (_scan_blocks(L)), takes their |M_j| row sums for
+    the guard below, and inverts the stack in one batched call; inv(I) is
+    exactly I, so the inverses come out padded as the scan needs them. Each
+    step becomes the affine map U_j = P_j U_{j-1} + q_j with
+    P_j = M_j^-1 diag(eps)/delta_j and q_j = M_j^-1 f(t_j). The recurrence
+    is evaluated as a blocked scan in about 2 sqrt(L) vectorized
+    iterations, composing the P_j in place (see _affine_recurrence), and
+    the maps are dropped before the guard, so at most two (L, n, n) stacks
+    of one chunk are live at once. Then every step of the chunk is checked
+    against the system it solves, in one vectorized pass: the residual
+    guard requires
     |M_j U_j - b_j| <= STEP_RESIDUAL_RTOL * (1 + |b_j| + |M_j| |U_j|) in the
     maximum norm, with b_j = diag(eps)/delta_j U_{j-1} + f(t_j), a bound on
     the normwise backward error of each solve; the first step that fails
-    it or has a non-finite residual raises SolveFailureError. The
-    tolerance is the module constant, read at call time.
+    it or has a non-finite residual raises SolveFailureError, before any
+    later chunk is marched. The tolerance is the module constant, read at
+    call time.
 
     Parameters
     ----------
@@ -200,42 +221,56 @@ def march(vp, mesh, u_init):
         raise ValueError("initial value must be a finite vector of length %d" % n)
 
     N = mesh.N
-    K, B = _scan_blocks(N)
-    ed = np.asarray(spec.eps) / mesh.deltas[:, None]
-    m = step_matrices(vp, mesh)
+    values = np.empty((N + 1, n))
+    values[0] = u
+    # Each chunk pays for its own scan iterations, so a long march takes at
+    # most 8 chunks; a march of up to 2048 steps is one chunk.
+    C = max(2048, -(-N // 8))
+    for lo in range(0, N, C):
+        _march_chunk(vp, mesh, lo, min(lo + C, N), values)
+    values.setflags(write=False)
+    return SolutionGrid(problem=vp, mesh=mesh, values=values)
+
+
+def _march_chunk(vp, mesh, lo, hi, values):
+    """March steps lo+1 .. hi from values[lo] into values[lo+1 .. hi] and
+    check their residuals (see march)."""
+    spec = vp.spec
+    L = hi - lo
+    K, B = _scan_blocks(L)
+    ed = np.asarray(spec.eps) / mesh.deltas[lo:hi, None]
+    m = _step_matrices(spec, mesh, lo, hi, K * B)
     # |M_j| row sums, then their maximum: the (i, k, j) copy keeps j
     # contiguous, and it is the one copy of the stack taken here
-    m_abs = np.ascontiguousarray(m.transpose(1, 2, 0))
+    m_abs = np.ascontiguousarray(m[:L].transpose(1, 2, 0))
     m_norms = np.abs(m_abs, out=m_abs).sum(axis=1).max(axis=0)
     del m_abs
     # inv(I) is exactly I, so the identities that pad the stack to the
     # scan's K B steps come out of the one inv call already in place
-    m = np.concatenate([m, np.broadcast_to(np.eye(n), (K * B - N, n, n))])
     p = np.linalg.inv(m)
-    m = m[:N]
-    f = sample_f(spec, mesh.points[1:])
-    q = np.einsum("jik,jk->ji", p[:N], f)
-    p[:N] *= ed[:, None, :]
-    values = _affine_recurrence(p, q, u)
+    m = m[:L]
+    f = sample_f(spec, mesh.points[lo + 1:hi + 1])
+    q = np.einsum("jik,jk->ji", p[:L], f)
+    p[:L] *= ed[:, None, :]
+    out = values[lo:hi + 1]
+    _affine_recurrence(p, q, out)
     del p, q
 
-    b = ed * values[:-1]
+    b = ed * out[:-1]
     b += f
     del ed, f
-    residual = np.einsum("jik,jk->ji", m, values[1:])
+    residual = np.einsum("jik,jk->ji", m, out[1:])
     residual -= b
     residual = _max_norms(residual)
-    tol = STEP_RESIDUAL_RTOL * (1.0 + _max_norms(b) + m_norms * _max_norms(values[1:]))
+    tol = STEP_RESIDUAL_RTOL * (1.0 + _max_norms(b) + m_norms * _max_norms(out[1:]))
     # A non-finite U_j or b_j gives a non-finite residual, which fails even
     # where the tolerance is infinite too; so does a nan tolerance.
     failed = np.flatnonzero(~(np.isfinite(residual) & (residual <= tol)))
     if failed.size:
         j = int(failed[0])
         raise SolveFailureError(
-            "step %d solve residual %.3e exceeds tolerance" % (j + 1, residual[j])
+            "step %d solve residual %.3e exceeds tolerance" % (lo + j + 1, residual[j])
         )
-    values.setflags(write=False)
-    return SolutionGrid(problem=vp, mesh=mesh, values=values)
 
 
 def solve(vp, N):
@@ -286,11 +321,14 @@ def certify_max_principle(grid):
 def certify_stability(grid):
     """Maximum-norm certificate: every grid value obeys
     max_j ||U(t_j)|| <= max(||U(0)||, max_j ||f(t_j)|| / alpha), with f and
-    alpha those of grid.problem."""
+    alpha those of grid.problem. A bound that overflows raises
+    SolveFailureError."""
     initial_norm = float(np.abs(grid.values[0]).max())
     rhs = sample_f(grid.problem.spec, grid.mesh.points[1:])
     rhs_norm = float(np.abs(rhs).max())
     bound = max(initial_norm, rhs_norm / grid.problem.alpha)
+    if not math.isfinite(bound):
+        raise SolveFailureError("stability bound max(|U(0)|, |f| / alpha) is not finite")
     max_norm = float(np.abs(grid.values).max())
     return StabilityCertificate(
         bound=bound,

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -364,15 +365,17 @@ OVERFLOWING_GENERATOR = {"n": 2, "T": 1.0, "eps": [1e-300, 1e-200], "u0": [0, 0]
                          "A": [[1e10, -1], [-1, 1e10]], "f": [1, 1]}
 OVERFLOWING_REDUCED_VALUE = {"n": 1, "T": 2e10, "eps": [1.0], "u0": [0],
                              "A": [[[1e-10, 1.0]]], "f": [1e300]}
+OVERFLOWING_STABILITY_BOUND = {"n": 1, "T": 1.0, "eps": [1e-210], "u0": [0],
+                               "A": [[[1e-200, 1.0]]], "f": [1e200]}
 
 # (problem file data, arguments after --problem FILE, exit code, the one
 # stderr line); numpy warns while computing each, and none of that may
 # reach stderr. The second problem is admissible (its first row sum is
 # exactly 2), but its entries of order 1e308 t^2 overflow in the step
-# matrices; the first step whose residual is nan fails. The last two are
+# matrices; the first step whose residual is nan fails. The last three are
 # admissible and solve, but 1e10 / 1e-300 overflows the closed form's
-# generator -t E^-1 A, and A(0)^-1 f(0) = 1e310 overflows the smooth part's
-# initial value.
+# generator -t E^-1 A, A(0)^-1 f(0) = 1e310 overflows the smooth part's
+# initial value, and |f| / alpha = 1e400 the stability certificate's bound.
 NON_FINITE_CASES = [
     ({**asdict(cases.constant_two_scale()), "u0": [1e308, 1e308]},
      ["solve", "--N", "16"], EXIT_NUMERICAL,
@@ -386,12 +389,15 @@ NON_FINITE_CASES = [
      "numerical error: closed-form generator -t E^-1 A is not finite (row norm nan)\n"),
     (OVERFLOWING_REDUCED_VALUE, ["solve", "--N", "16", "--decompose"], EXIT_NUMERICAL,
      "numerical error: reduced initial value A(0)^-1 f(0) is not finite\n"),
+    (OVERFLOWING_STABILITY_BOUND, ["solve", "--N", "16", "--certify"], EXIT_NUMERICAL,
+     "numerical error: stability bound max(|U(0)|, |f| / alpha) is not finite\n"),
 ]
 
 
 @pytest.mark.parametrize("data,args,code,err", NON_FINITE_CASES,
                          ids=["overflowing_u0", "overflowing_A",
-                              "overflowing_generator", "overflowing_reduced_value"])
+                              "overflowing_generator", "overflowing_reduced_value",
+                              "overflowing_stability_bound"])
 def test_non_finite_values_fail_closed(tmp_path, capsys, data, args, code, err):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -405,7 +411,9 @@ def test_non_finite_values_fail_closed(tmp_path, capsys, data, args, code, err):
     (OVERFLOWING_GENERATOR, ["solve", "--N", "16"]),
     (OVERFLOWING_GENERATOR, ["converge", "--N", "128,256"]),
     (OVERFLOWING_REDUCED_VALUE, ["solve", "--N", "16"]),
-], ids=["generator_solve", "generator_two_mesh", "reduced_value_solve"])
+    (OVERFLOWING_STABILITY_BOUND, ["solve", "--N", "16"]),
+], ids=["generator_solve", "generator_two_mesh", "reduced_value_solve",
+        "stability_bound_solve"])
 def test_overflows_outside_a_command_leave_it_working(tmp_path, capsys, data, args):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -565,3 +573,104 @@ def test_linalg_error_exits_6(capsys, monkeypatch):
     source = cases.PROBLEMS / "constant_two_scale.json"
     assert main(["solve", "--problem", str(source), "--N", "16"]) == EXIT_NUMERICAL
     assert capsys.readouterr().err == "numerical error: Singular matrix\n"
+
+
+# Exit code -> the prefix of its one stderr line
+PREFIXES = {code: prefix for code, prefix, *_ in EXIT_CASES}
+
+# a(t) = 1 + 1.7e308 t^4 + 1e-8 t^16 on [0, 1] is admissible with alpha = 1:
+# its derivative's leading coefficients overflow and their ratio does too
+WIDE_POLY = {"n": 1, "T": 1.0, "eps": [0.01], "u0": [0.0],
+             "A": [[[1.0, 0, 0, 0, 1.7e308] + [0] * 11 + [1e-8]]], "f": [1.0]}
+
+
+def _contract_draw(rng):
+    """A random problem document. Coefficients are order one or drawn
+    log-uniformly over the doubles, 1e-320 to 1.7e308; off-diagonal entries
+    are mostly nonpositive and diagonals positive, so that many draws are
+    admissible and reach every command."""
+    def magnitude():
+        if rng.random() < 0.3:
+            return float(10.0 ** rng.uniform(-320.0, 308.23))
+        return float(10.0 ** rng.uniform(-1.0, 1.0))
+
+    def entry(sign):
+        degree = rng.integers(0, 17) if rng.random() < 0.3 else rng.integers(0, 3)
+        return [sign * magnitude() for _ in range(degree + 1)]
+
+    def signed():
+        return 1.0 if rng.random() < 0.5 else -1.0
+
+    n = int(rng.integers(1, 5))
+    A = [[entry(1.0 if i == j else (-1.0 if rng.random() < 0.9 else 1.0))
+          for j in range(n)] for i in range(n)]
+    f = [entry(signed()) for _ in range(n)]
+    u0 = [signed() * magnitude() for _ in range(n)]
+    eps = sorted(float(10.0 ** rng.uniform(-320.0, 0.0)) for _ in range(n))
+    if rng.random() < 0.3:
+        T = float(10.0 ** rng.uniform(-300.0, 300.0))
+    else:
+        T = float(rng.uniform(0.5, 4.0))
+    return {"n": n, "T": T, "eps": eps, "u0": u0, "A": A, "f": f}
+
+
+def _contract_commands(data):
+    n = data["n"]
+    N = 4 * 2 ** n
+    sizes = "%d,%d" % (N, 2 * N)
+    constant = all(len(p) == 1 for row in data["A"] for p in row) and all(
+        len(p) == 1 for p in data["f"])
+    mode = "exact" if constant else "two_mesh"
+    return [
+        ["validate"],
+        ["mesh", "--N", str(N)],
+        ["solve", "--N", str(N), "--decompose", "--certify"],
+        ["converge", "--N", sizes, "--mode", mode],
+        ["sweep", "--N", sizes, "--mode", mode,
+         "--eps-grid", ",".join(map(repr, data["eps"]))],
+    ]
+
+
+def _assert_contract(path, data, capsys):
+    """Run the commands on one problem and check the CLI contract: an exit
+    code in 0..6; on exit 0 an empty stderr and only finite numbers out;
+    otherwise one stderr line with the code's prefix. Every command
+    validates the problem first, so the others run only after validate
+    exits 0. Returns the codes."""
+    path.write_text(json.dumps(data), encoding="utf-8")
+    codes = []
+    for args in _contract_commands(data):
+        if codes and codes[0] != EXIT_OK:
+            break
+        code = main([args[0], "--problem", str(path)] + args[1:])
+        out, err = capsys.readouterr()
+        context = (args, data)
+        assert code in PREFIXES, context
+        if code == EXIT_OK:
+            assert err == "", context
+            for token in out.replace(",", " ").replace("=", " ").split():
+                try:
+                    value = float(token)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), context
+        else:
+            assert err.count("\n") == 1 and err.endswith("\n"), context
+            assert err.startswith(PREFIXES[code]), context
+        codes.append(code)
+    return codes
+
+
+def test_wide_polynomial_validates(tmp_path, capsys):
+    assert _assert_contract(tmp_path / "problem.json", WIDE_POLY, capsys)[0] == EXIT_OK
+    assert main(["validate", "--problem", str(tmp_path / "problem.json")]) == EXIT_OK
+    assert capsys.readouterr().out == "alpha = 1\n"
+
+
+def test_random_problems_keep_the_exit_contract(tmp_path, capsys):
+    rng = np.random.default_rng(2113)
+    path = tmp_path / "problem.json"
+    codes = set()
+    for _ in range(200):
+        codes.update(_assert_contract(path, _contract_draw(rng), capsys))
+    assert EXIT_OK in codes and EXIT_VALIDATION in codes, codes

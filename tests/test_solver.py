@@ -69,13 +69,13 @@ def _per_step_march(vp, mesh, u_init):
     # Reference: one dense solve per step, in mesh order.
     spec = vp.spec
     eps = np.asarray(spec.eps)
+    A = sample_A(spec, mesh.points[1:])
+    f = sample_f(spec, mesh.points[1:])
     u = np.array(u_init, dtype=float)
     rows = [u]
-    for j in range(1, mesh.N + 1):
-        t = float(mesh.points[j])
-        ed = eps / mesh.deltas[j - 1]
-        b = ed * u + sample_f(spec, t)[0]
-        u = np.linalg.solve(sample_A(spec, t)[0] + np.diag(ed), b)
+    for j in range(mesh.N):
+        ed = eps / mesh.deltas[j]
+        u = np.linalg.solve(A[j] + np.diag(ed), ed * u + f[j])
         rows.append(u)
     return np.array(rows)
 
@@ -107,11 +107,21 @@ def test_march_matches_per_step_solves_across_blocks(name, spec, N, forcing):
     assert np.abs(grid.values - reference).max() <= 1e-12 * scale
 
 
+# A march runs in chunks of max(2048, N / 8) steps, each from the last value
+# of the one before: 2056 = 2048 + 8, 4104 = 2 * 2048 + 8, and 2^14 + 8 is
+# 8 chunks of 2049 steps.
+SEAM_N = (2056, 4104, 2 ** 14 + 8)
+
+
 def test_march_matches_per_step_solves_at_random_sizes():
     rng = np.random.default_rng(4177)
+    draws = []
     for _ in range(12):
         spec = cases.random_nonneg_problem(rng)
-        N = 2 ** spec.n * int(rng.integers(1, 300 // 2 ** spec.n + 1))
+        draws.append((spec, 2 ** spec.n * int(rng.integers(1, 300 // 2 ** spec.n + 1))))
+    # n <= 3, so 2^n divides every seam size
+    draws += [(cases.random_nonneg_problem(rng, n_max=3), N) for N in SEAM_N]
+    for spec, N in draws:
         mesh = build_mesh(validate(spec), N)
         for problem in (spec, cases.zero_forcing(spec)):
             vp = validate(problem)
@@ -121,10 +131,10 @@ def test_march_matches_per_step_solves_at_random_sizes():
             assert np.abs(values - reference).max() <= 1e-12 * scale, (N, problem.f)
 
 
-@pytest.mark.parametrize("N", [8, 92, 1024])
+@pytest.mark.parametrize("N", [8, 92, 1024, 8192])
 def test_steady_state_is_reproduced_exactly_across_blocks(N):
-    # 92 = 10 blocks of 9 and one of 2 steps padded to 9; every step maps 2
-    # exactly onto 2.
+    # 92 = 10 blocks of 9 and one of 2 steps padded to 9; 8192 is 4 chunks
+    # of 2048 steps; every step maps 2 exactly onto 2.
     # (At N = 96 one step width rounds so that a step-by-step march leaves
     # 2 by an ulp, so there is no exact steady state to pin.)
     vp = validate(cases.steady_scalar())
@@ -175,6 +185,42 @@ def test_march_holds_at_most_two_step_stacks(name, spec):
     finally:
         tracemalloc.stop()
     assert peak <= (2 * n * n + 8 * n) * 8 * N
+
+
+@pytest.mark.parametrize("name,spec", cases.suite())
+def test_march_holds_two_step_stacks_of_one_chunk(name, spec):
+    # At N = 2^16 a chunk is 2^16 / 8 = 8192 steps, padded to the scan's 92
+    # blocks of 90 = 8280. The bound allows the (N+1, n) grid, and per chunk
+    # the two stacks of 8280 steps and eight arrays of 8280 rows of n: the
+    # per-step n^2 term is about an eighth of two whole-march stacks.
+    vp = validate(spec)
+    n, N, steps = spec.n, 2 ** 16, 8280
+    mesh = build_mesh(vp, N)
+    march(vp, build_mesh(vp, 16), spec.u0)  # numpy's lazy set-up, untraced
+    tracemalloc.start()
+    try:
+        march(vp, mesh, spec.u0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ((N + 1) * n + steps * (2 * n * n + 8 * n)) * 8
+
+
+def test_non_finite_forcing_in_a_later_chunk_names_its_step(monkeypatch):
+    # N = 4104 marches in chunks of 2048, 2048 and 8 steps; a nan forcing at
+    # step 2148, the 100th of the second chunk, fails that step first.
+    vp = validate(cases.constant_two_scale())
+    mesh = build_mesh(vp, 4104)
+    bad_t = mesh.points[2148]
+
+    def poisoned(spec, ts):
+        f = sample_f(spec, ts)
+        f[np.asarray(ts) == bad_t] = np.nan
+        return f
+
+    monkeypatch.setattr("layerode.solver.sample_f", poisoned)
+    with pytest.raises(SolveFailureError, match=r"^step 2148 solve residual nan"):
+        march(vp, mesh, vp.spec.u0)
 
 
 def test_decomposition_initial_split():
