@@ -11,24 +11,19 @@ failure, 4 mesh construction failure, 5 requested convergence band not met,
 1e-12 backward-error guard, a study's error was not finite, a closed-form
 propagator left its bounds, the closed form's generator -t E^-1 A, the
 smooth part's initial value A(0)^-1 f(0) or the stability certificate's
-bound overflowed, or numpy's linear
-algebra reported a singular matrix). numpy's floating-point warnings are
-silenced, since each of those failures has its exit code. Text and CSV
-output write numbers with 17 significant digits, and --json output with
-Python's shortest round-trip repr (2.0, not 2); either way output is
-byte-identical across runs and floats round-trip exactly. Output is written
-block by block as it is formatted; if the reader closes stdout early (as
-`| head` does), the rest is dropped without a message and the command
-returns the exit code it would have returned.
+bound overflowed, or numpy's linear algebra reported a singular matrix).
+numpy's floating-point warnings are silenced, since each of those failures
+has its exit code. Text and CSV output write numbers with 17 significant
+digits, and --json output with Python's shortest round-trip repr (2.0, not
+2); either way output is byte-identical across runs and floats round-trip
+exactly. Output is written block by block as it is formatted; if the reader
+closes stdout early (as `| head` does), the rest is dropped without a
+message and the command returns the exit code it would have returned.
 
 validate needs only the problem module, which loads no numpy unless an
-entry has degree 3 or more. The numpy-backed names of the other
-subcommands are bound into this module on first use (_bind_numeric), and
-reading one of them on this module binds them too, so a wrapper or test
-double set here replaces what the subcommands call. The package binds no
-such copies; this module keeps them only because benchmarks/trace_cli.py
-wraps names here and two tests set doubles here, until a run records its
-own stage timings.
+entry has degree 3 or more. Every other subcommand imports what it runs
+when it runs, from the module that defines it, so a wrapper or test double
+set on that module sees every call.
 """
 
 from __future__ import annotations
@@ -43,12 +38,7 @@ import math
 import os
 import sys
 
-from .problem import (
-    ProblemFormatError,
-    ProblemValidationError,
-    load_problem,
-    validate,
-)
+from .problem import ProblemFormatError, ProblemValidationError, load_problem, validate
 
 EXIT_OK = 0
 EXIT_CERTIFICATE = 1
@@ -58,52 +48,20 @@ EXIT_MESH = 4
 EXIT_BAND = 5
 EXIT_NUMERICAL = 6
 
-# --mode value -> (printed mode label, error measure in layerode.analysis, looked
-# up when a study runs so that a wrapper installed there sees every call)
+# --mode value -> (printed mode label, name of its error measure in
+# layerode.analysis)
 _MEASURES = {"exact": ("exact_oracle", "exact_error"),
              "two_mesh": ("two_mesh", "two_mesh_difference")}
 
 
-def _numeric_names():
-    """The numpy-backed names of the numeric subcommands, by name."""
-    import numpy as np
-
-    from . import analysis
-    from .analysis import convergence_study, default_eps_grid, uniform_sweep
-    from .mesh import MeshError, build_mesh
-    from .solver import (
-        SolveFailureError,
-        certify_max_principle,
-        certify_stability,
-        decompose,
-        solve,
-    )
-
-    return locals()
-
-
-def _bind_numeric():
-    """Bind those names into this module, keeping any bound here already."""
-    for name, value in _numeric_names().items():
-        globals().setdefault(name, value)
-
-
-def __getattr__(name):
-    # PEP 562: reading a numpy-backed name on this module binds them all.
-    if not name.startswith("__"):
-        _bind_numeric()
-        if name in globals():
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _numeric(command):
-    """A numpy-backed subcommand: it binds those names first and runs with
-    numpy's floating-point warnings off. Overflow and invalid operations
-    are not reported as warnings: every non-finite result fails a check and
-    exits with its own code."""
+    """A numpy-backed subcommand: it runs with numpy's floating-point
+    warnings off. Overflow and invalid operations are not reported as
+    warnings: every non-finite result fails a check and exits with its own
+    code."""
     def run(args):
-        _bind_numeric()
+        import numpy as np
+
         with np.errstate(all="ignore"):
             return command(args)
     return run
@@ -119,15 +77,19 @@ def _csv_line(fields):
     return buf.getvalue()
 
 
-def _table_lines(columns):
+def _table_lines(first, columns):
     """CSV rows of a numeric table given as its columns, each an array with
-    one entry or one row of entries per table row: the first column as an
-    integer, the others with 17 significant digits like _fmt. Blocks of 256
-    rows are taken from the columns and formatted one at a time, with one
-    row format each, so neither the whole table nor the Python floats of
-    more than one block are held; each yielded string holds one block."""
+    one entry or one row of entries per table row: the row number, counted
+    from first, then the columns with 17 significant digits like _fmt.
+    Blocks of 256 rows are taken from the columns and formatted one at a
+    time, with one row format each, so neither the whole table nor the
+    Python floats of more than one block are held; each yielded string
+    holds one block."""
+    import numpy as np
+
     for start in range(0, len(columns[0]), 256):
-        block = np.column_stack([column[start:start + 256] for column in columns])
+        parts = [column[start:start + 256] for column in columns]
+        block = np.column_stack([np.arange(first + start, first + start + len(parts[0]))] + parts)
         row = ",".join(["%d"] + ["%.17g"] * (block.shape[1] - 1))
         yield "\n".join([row] * len(block)) % tuple(block.ravel().tolist())
 
@@ -199,6 +161,8 @@ def _cmd_validate(args):
 
 @_numeric
 def _cmd_mesh(args):
+    from .mesh import build_mesh
+
     vp = validate(load_problem(args.problem))
     mesh = build_mesh(vp, args.N)
     lines = [
@@ -207,13 +171,15 @@ def _cmd_mesh(args):
         "j,t_j,delta_j",
         "0,%s," % _fmt(mesh.points[0]),
     ]
-    rows = _table_lines([np.arange(1, mesh.N + 1), mesh.points[1:], mesh.deltas])
+    rows = _table_lines(1, [mesh.points[1:], mesh.deltas])
     _emit(itertools.chain(lines, rows), args.out)
     return EXIT_OK
 
 
 @_numeric
 def _cmd_solve(args):
+    from .solver import certify_max_principle, certify_stability, decompose, solve
+
     vp = validate(load_problem(args.problem))
     grid = solve(vp, args.N)
     mesh = grid.mesh
@@ -231,79 +197,67 @@ def _cmd_solve(args):
             "# stability_ok = %s" % ("true" if stability.ok else "false"),
         ]
     header = ["j", "t_j"] + ["U_%d" % (i + 1) for i in range(n)]
-    columns = [np.arange(mesh.N + 1), mesh.points, grid.values]
+    columns = [mesh.points, grid.values]
     if args.decompose:
         parts = decompose(vp, mesh)
-        header += ["V_%d" % (i + 1) for i in range(n)]
-        header += ["W_%d" % (i + 1) for i in range(n)]
+        header += ["%s_%d" % (part, i + 1) for part in "VW" for i in range(n)]
         columns += [parts.smooth.values, parts.singular.values]
     lines.append(_csv_line(header))
-    _emit(itertools.chain(lines, _table_lines(columns)), args.out)
+    _emit(itertools.chain(lines, _table_lines(0, columns)), args.out)
     if not certificates_ok:
         print("error: a solve certificate failed; see the header comments", file=sys.stderr)
         return EXIT_CERTIFICATE
     return EXIT_OK
 
 
-def _study_lines(lines, label, rows):
-    for row in rows:
-        lines.append(_csv_line([
-            label,
-            row.N,
-            _fmt(row.error),
-            "" if row.p is None else _fmt(row.p),
-            _fmt(row.c_fit),
-        ]))
+def _emit_study(args, result, studies):
+    """Write a converge or sweep result: with --json, the library's report
+    after a mode key; otherwise one CSV row per mesh size of each (eps
+    label, rows) pair in studies."""
+    label = _MEASURES[args.mode][0]
+    if args.json:
+        lines = [json.dumps({"mode": label, **dataclasses.asdict(result)}, indent=2)]
+    else:
+        lines = ["# mode = %s" % label, "eps_label,N,D,p,C_fit"]
+        lines += [_csv_line([eps, row.N, _fmt(row.error),
+                             "" if row.p is None else _fmt(row.p), _fmt(row.c_fit)])
+                  for eps, rows in studies for row in rows]
+    _emit(lines, args.out)
 
 
 def _band_gate(rows, band, what):
     """EXIT_BAND, with a message on stderr, if the smallest order present in
     rows is below band or no order is present; EXIT_OK otherwise or when no
     band was requested."""
-    if band is None:
+    worst = min((row.p for row in rows if row.p is not None), default=None)
+    if band is None or (worst is not None and worst >= band):
         return EXIT_OK
-    ps = [row.p for row in rows if row.p is not None]
-    worst = min(ps) if ps else None
-    if worst is None or worst < band:
-        print(
-            "error: %s order %s is below the requested band %s"
-            % (what, "absent" if worst is None else _fmt(worst), _fmt(band)),
-            file=sys.stderr,
-        )
-        return EXIT_BAND
-    return EXIT_OK
+    print("error: %s order %s is below the requested band %s"
+          % (what, "absent" if worst is None else _fmt(worst), _fmt(band)), file=sys.stderr)
+    return EXIT_BAND
 
 
 @_numeric
 def _cmd_converge(args):
+    from . import analysis
+
     vp = validate(load_problem(args.problem))
-    label, measure = _MEASURES[args.mode]
-    report = convergence_study(vp, args.N, getattr(analysis, measure))
-    if args.json:
-        payload = {"mode": label, **dataclasses.asdict(report)}
-        _emit([json.dumps(payload, indent=2)], args.out)
-    else:
-        lines = ["# mode = %s" % label, "eps_label,N,D,p,C_fit"]
-        _study_lines(lines, report.eps_label, report.rows)
-        _emit(lines, args.out)
+    measure = getattr(analysis, _MEASURES[args.mode][1])
+    report = analysis.convergence_study(vp, args.N, measure)
+    _emit_study(args, report, [(report.eps_label, report.rows)])
     return _band_gate(report.rows, args.min_p, "observed")
 
 
 @_numeric
 def _cmd_sweep(args):
+    from . import analysis
+
     spec = load_problem(args.problem)
-    grid = default_eps_grid(spec.n) if args.eps_grid == "default" else args.eps_grid
-    label, measure = _MEASURES[args.mode]
-    sweep = uniform_sweep(spec, grid, args.N, getattr(analysis, measure))
-    if args.json:
-        payload = {"mode": label, **dataclasses.asdict(sweep)}
-        _emit([json.dumps(payload, indent=2)], args.out)
-    else:
-        lines = ["# mode = %s" % label, "eps_label,N,D,p,C_fit"]
-        for report in sweep.reports:
-            _study_lines(lines, report.eps_label, report.rows)
-        _study_lines(lines, "uniform", sweep.uniform)
-        _emit(lines, args.out)
+    grid = analysis.default_eps_grid(spec.n) if args.eps_grid == "default" else args.eps_grid
+    measure = getattr(analysis, _MEASURES[args.mode][1])
+    sweep = analysis.uniform_sweep(spec, grid, args.N, measure)
+    studies = [(report.eps_label, report.rows) for report in sweep.reports]
+    _emit_study(args, sweep, studies + [("uniform", sweep.uniform)])
     return _band_gate(sweep.uniform, args.min_p_uniform, "robust")
 
 
@@ -386,13 +340,17 @@ def main(argv=None):
         return EXIT_PARSE
     except (RuntimeError, ValueError) as exc:
         # MeshError, SolveFailureError and LinAlgError come from numpy-backed
-        # modules. validate can raise LinAlgError before any of them was
-        # bound: the roots of a quadratic or higher derivative are numpy's.
-        _bind_numeric()
+        # modules, imported on the way out. validate can raise LinAlgError
+        # too: the roots of a quadratic or higher derivative are numpy's.
+        from numpy.linalg import LinAlgError
+
+        from .mesh import MeshError
+        from .solver import SolveFailureError
+
         if isinstance(exc, MeshError):
             print(f"mesh error: {exc}", file=sys.stderr)
             return EXIT_MESH
-        if isinstance(exc, (SolveFailureError, np.linalg.LinAlgError)):
+        if isinstance(exc, (SolveFailureError, LinAlgError)):
             print(f"numerical error: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
         if isinstance(exc, ValueError):  # OracleUnavailableError among them

@@ -259,6 +259,28 @@ def test_sweep_json_payload(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("problem,mode", [("constant_two_scale", "exact"),
+                                          ("variable_three_scale", "two_mesh")])
+def test_converge_prints_the_rows_of_a_one_entry_sweep(capsys, problem, mode):
+    # converge's rows are those of a sweep over the file's own eps, less the
+    # uniform rows; with --json its report is the sweep's only one
+    source = cases.PROBLEMS / ("%s.json" % problem)
+    grid = ",".join(repr(e) for e in load_problem(source).eps)
+    args = ["--problem", str(source), "--N", "64,128,256", "--mode", mode]
+    out = {}
+    for command in (["converge"], ["sweep", "--eps-grid", grid]):
+        for flags in ([], ["--json"]):
+            assert main(command + args + flags) == EXIT_OK
+            out[command[0], bool(flags)] = capsys.readouterr().out
+    sweep_lines = out["sweep", False].splitlines(keepends=True)
+    assert out["converge", False] == "".join(
+        line for line in sweep_lines if not line.startswith("uniform,"))
+    sweep = json.loads(out["sweep", True])
+    assert len(sweep["reports"]) == 1
+    report = {"mode": sweep["mode"], **sweep["reports"][0]}
+    assert out["converge", True] == json.dumps(report, indent=2) + "\n"
+
+
 def test_sweep_jobs_do_not_change_output(tmp_path, capsys):
     path = _write_problem(tmp_path, cases.constant_two_scale())
     args = [
@@ -283,25 +305,45 @@ def _modules_after(code):
     return set(done.stdout.splitlines())
 
 
-@pytest.mark.parametrize("code", ["import layerode", "import layerode.cli"],
-                         ids=["package", "cli"])
+@pytest.mark.parametrize("code", [
+    "import layerode",
+    "import layerode.cli",
+    "import layerode.cli; hasattr(layerode.cli, 'no_such_name')",
+], ids=["package", "cli", "cli_missing_name"])
 def test_cli_import_loads_no_process_machinery(code):
     # nor numpy, which the validate command does without
     loaded = _modules_after(code)
     assert sorted({"concurrent.futures", "multiprocessing", "numpy"} & loaded) == []
 
 
+def _command_imports(args):
+    # the command's stdout and the modules it imported: -X importtime lists
+    # each of them on stderr
+    argv = [sys.executable, "-X", "importtime", "-m", "layerode.cli"] + args
+    done = subprocess.run(argv, env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True, timeout=60, check=True)
+    return done.stdout, {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+
+
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
 @pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: p.stem)
 def test_validate_runs_without_numpy(problem, flags):
-    # -X importtime lists every module the command imports on stderr
-    argv = ["-X", "importtime", "-m", "layerode.cli", "validate", "--problem", str(problem)]
-    done = subprocess.run([sys.executable] + argv + flags, env={**os.environ, "PYTHONPATH": SRC},
-                          capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout.startswith('{"alpha": 2.0' if flags else "alpha = 2")
-    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+    out, imported = _command_imports(["validate", "--problem", str(problem)] + flags)
+    assert out.startswith('{"alpha": 2.0' if flags else "alpha = 2")
     assert "layerode.problem" in imported
     assert "numpy" not in imported
+
+
+@pytest.mark.parametrize("args", [["mesh", "--N", "64"],
+                                  ["solve", "--N", "64", "--decompose", "--certify"]],
+                         ids=["mesh", "solve"])
+@pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: p.stem)
+def test_mesh_and_solve_run_without_analysis(problem, args):
+    # each subcommand imports only the modules that define what it runs
+    out, imported = _command_imports([args[0], "--problem", str(problem)] + args[1:])
+    assert out.startswith("# ")
+    assert {"numpy", "layerode.mesh"} <= imported
+    assert "layerode.analysis" not in imported
 
 
 def test_closed_stdout_ends_the_output_quietly():
@@ -515,7 +557,7 @@ def test_table_output_matches_per_row_formatter(problem, capsys):
 
 
 def _fail_certificate(monkeypatch):
-    monkeypatch.setattr("layerode.cli.certify_max_principle", lambda grid: False)
+    monkeypatch.setattr("layerode.solver.certify_max_principle", lambda grid: False)
 
 
 def _zero_residual_tolerance(monkeypatch):
@@ -530,7 +572,7 @@ def _bad_sign(text):
 
 # (exit code, start of its one stderr line, edit of the problem file text
 #  or None to use problems/constant_two_scale.json as is, arguments after
-#  --problem FILE, fault injected into the CLI)
+#  --problem FILE, fault injected into the library)
 EXIT_CASES = [
     (EXIT_OK, "", None, ["validate"], None),
     (EXIT_CERTIFICATE, "error: ", None, ["solve", "--N", "16", "--certify"], _fail_certificate),
@@ -569,7 +611,7 @@ def test_linalg_error_exits_6(capsys, monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr("layerode.cli.solve", singular)
+    monkeypatch.setattr("layerode.solver.solve", singular)
     source = cases.PROBLEMS / "constant_two_scale.json"
     assert main(["solve", "--problem", str(source), "--N", "16"]) == EXIT_NUMERICAL
     assert capsys.readouterr().err == "numerical error: Singular matrix\n"
