@@ -340,8 +340,8 @@ def main(argv=None):
         return EXIT_PARSE
     except (RuntimeError, ValueError) as exc:
         # MeshError, SolveFailureError and LinAlgError come from numpy-backed
-        # modules, imported on the way out. validate can raise LinAlgError
-        # too: the roots of a quadratic or higher derivative are numpy's.
+        # modules, imported on the way out. validate raises LinAlgError too,
+        # where a row sum's coefficient overflows or eigvals fails to converge.
         from numpy.linalg import LinAlgError
 
         from .mesh import MeshError

@@ -160,11 +160,12 @@ def interaction_points(vp):
     Keys are 1-based pairs i < j; t = ln(eps_j/eps_i) / (alpha (1/eps_i -
     1/eps_j)) is where exp(-alpha t / eps_i) / eps_i meets
     exp(-alpha t / eps_j) / eps_j, with the problem's eps and extracted
-    alpha. It is evaluated as eps_i eps_j ln(1 + g/eps_i) / (alpha g) with
-    g = eps_j - eps_i, which neither cancels nor divides by zero when the
-    two scales are adjacent floats; where g/eps_i overflows it takes
-    ln(eps_j) - ln(eps_i) instead. Every time must be positive and the
-    times must increase in both indices; either failing raises MeshError.
+    alpha. It is evaluated as eps_i / alpha (eps_j / g) ln(1 + g/eps_i) with
+    g = eps_j - eps_i: it does not cancel, nor divide by zero when the two
+    scales are adjacent floats, nor underflow in a product of two small
+    factors. Where g/eps_i overflows it takes ln(eps_j) - ln(eps_i) instead.
+    Every time must be positive and the times must increase in both
+    indices; either failing raises MeshError.
     """
     eps, alpha = vp.spec.eps, vp.alpha
     n = len(eps)
@@ -175,7 +176,7 @@ def interaction_points(vp):
             log_ratio = math.log1p(g / eps[i])
             if math.isinf(log_ratio):  # g / eps_i overflowed
                 log_ratio = math.log(eps[j]) - math.log(eps[i])
-            values[(i + 1, j + 1)] = eps[i] * eps[j] * log_ratio / (alpha * g)
+            values[(i + 1, j + 1)] = eps[i] / alpha * (eps[j] / g) * log_ratio
     for (i, j), t in values.items():
         if not t > 0.0:
             raise MeshError("crossing time (%d,%d) is not positive" % (i, j))

@@ -10,8 +10,8 @@ operator's monotonicity relies on, and extracts the decay rate alpha, the
 infimum of the row sums, used to place mesh transition points.
 
 This module imports numpy only inside the functions that need it: the
-samplers, and validate for an entry of degree 3 or more, whose derivative's
-roots come from numpy. Validating any other problem needs no numpy.
+samplers, and validate where a derivative, at one scale of its roots, is a
+quadratic or more (_critical_times). Entries of degree 2 or less need none.
 """
 
 from __future__ import annotations
@@ -247,70 +247,61 @@ def sample_f(spec, ts):
     return _sample(spec, spec.f, ts)
 
 
-def _trim(coeffs):
-    """coeffs without trailing zeros, keeping at least one, as
-    numpy.polynomial trims a series."""
-    k = len(coeffs)
-    while k > 1 and coeffs[k - 1] == 0.0:
-        k -= 1
-    return coeffs[:k]
-
-
 def _critical_times(coeffs, T):
     """Real parts of the roots of a polynomial's derivative, clipped to
     [0, T]. With both endpoints they include every point where the
     polynomial attains its extrema on [0, T]; extra points are harmless.
 
-    The derivative is trimmed as numpy.polynomial's polyroots trims it: a
-    constant has no root and a line the one root -d0/d1, polyroots' own
-    formula. Higher degrees take polyroots' companion eigenvalues, with
-    numpy's floating-point warnings silenced: an infinite root is clipped
-    like any other, and a nan one sorts last (_extremum_times). Where a
-    coefficient k c_k would overflow, every c_k is first scaled by one power
-    of two, exactly above the subnormal range, so the ratios polyroots and
-    -d0/d1 use are kept; where a ratio overflows in polyroots' companion
-    matrix, the roots come from _roots_within.
+    The roots are found one magnitude scale at a time, so that none is lost
+    beside much larger ones. Each derivative coefficient d_k = (k+1) c_(k+1)
+    is held as m 2^e with m in [1/2, 1), finite even where d_k overflows.
+    The upper hull of the points (k, e) is d's Newton polygon; an edge of
+    slope sigma carries the roots of magnitude near 2^-sigma. For each edge,
+    with s its -sigma rounded to a multiple of 32, the roots come from the
+    polynomial in tau = t / 2^s: coefficients d_k 2^(ks), scaled by one
+    power of two so that the largest lies in [1/2, 1). Leading terms that
+    stay below 2^-52 of the largest all over |tau| <= 2^20, around the
+    edge's roots, are dropped, so no ratio of two coefficients overflows. A
+    line has the root -g0/g1, polyroots' own formula; higher degrees take
+    polyroots' companion eigenvalues. Each root is clipped to [0, T] before
+    it is scaled back by 2^s, so nothing overflows. Where every slope rounds
+    to 0 nothing is dropped, and the one pass finds d's roots as polyroots
+    finds them.
     """
-    scale = 1.0
-    if not all(math.isfinite(k * coeffs[k]) for k in range(1, len(coeffs))):
-        scale = 0.5 ** (len(coeffs) - 1).bit_length()
-    d = _trim(tuple(k * (coeffs[k] * scale) for k in range(1, len(coeffs))))
-    if len(d) < 2:
-        roots = []
-    elif len(d) == 2:
-        roots = [-d[0] / d[1]]
-    else:
-        import numpy as np
-        from numpy.polynomial import polynomial as npoly
+    terms = []
+    for k, c in enumerate(coeffs[1:], 1):
+        m, e = math.frexp(c)
+        m, shift = math.frexp(k * m)
+        terms.append((m, e + shift))
+    points = [(k, e) for k, (m, e) in enumerate(terms) if m]
+    hull = []
+    for k, e in points:
+        # a point on or below the chord from its neighbours leaves the hull
+        while len(hull) > 1 and ((hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])
+                                 <= (e - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
+            hull.pop()
+        hull.append((k, e))
+    scales = {-32 * round((e1 - e0) / (32 * (k1 - k0)))
+              for (k0, e0), (k1, e1) in zip(hull, hull[1:])}
+    times = []
+    for s in scales:
+        # exponents at |tau| = 2^20; the last term at most 53 below their top
+        reach = max(e + k * (s + 20) for k, e in points) - 53
+        lead = max(k for k, e in points if e + k * (s + 20) >= reach)
+        top = max(e + k * s for k, e in points)
+        g = [math.ldexp(m, e + k * s - top) for k, (m, e) in enumerate(terms[:lead + 1])]
+        if len(g) == 2:
+            roots = [-g[0] / g[1]]
+        else:
+            import numpy as np
+            from numpy.polynomial import polynomial as npoly
 
-        with np.errstate(all="ignore"):
-            try:
-                roots = npoly.polyroots(d).real.tolist()
-            except np.linalg.LinAlgError:
-                roots = _roots_within(d, T)
-    return [min(max(r, 0.0), T) for r in roots]
-
-
-def _roots_within(d, T):
-    """Real parts of roots of the polynomial with ascending coefficients d,
-    among them every root in [0, T], for a d whose coefficient ratios
-    overflow.
-
-    In tau = t / 2^e, with T < 2^e, the coefficients are d_k 2^(k e), all
-    scaled by one power of two so that the largest lies in [1/2, 1). The
-    leading ones below 2^-1022 are dropped, so that no ratio overflows: on
-    |tau| <= 1, where every root in [0, T] lies, they add up to less than
-    2^-1018. The roots in tau are scaled back by 2^e.
-    """
-    import numpy as np
-    from numpy.polynomial import polynomial as npoly
-
-    e = math.frexp(T)[1]
-    top = max(math.frexp(c)[1] + k * e for k, c in enumerate(d) if c)
-    g = [math.ldexp(c, k * e - top) for k, c in enumerate(d)]
-    while abs(g[-1]) < 2.0 ** -1022:
-        g.pop()
-    return np.ldexp(npoly.polyroots(g).real, e).tolist()
+            with np.errstate(all="ignore"):
+                roots = npoly.polyroots(g).real.tolist()
+        # 2^s overflows only for s > 0, where T / 2^s does not
+        bound = math.ldexp(T, -s) if s > 0 else math.inf
+        times += [min(math.ldexp(min(max(r, 0.0), bound), s), T) for r in roots]
+    return times
 
 
 def _extremum_times(polys, T):
@@ -332,7 +323,8 @@ def validate(spec):
     sums, and checks that the horizon covers the slowest layer
     (T >= 2 max(eps) / alpha). Each off-diagonal entry and each row sum is
     a polynomial, evaluated as such at both endpoints and at every critical
-    point of any of them; those times hold every extremum the checks need.
+    point of any of them; those times hold every extremum the checks need,
+    as the critical points are found scale by scale (_critical_times).
     A row sum is never added up from sampled entries, so entries that
     cancel, or overflow in double, do not disturb it. Under the sign
     condition a row sum equals a_ii - sum_{j != i} |a_ij|, so a positive

@@ -9,6 +9,8 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import asdict
+from fractions import Fraction
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,12 @@ from layerode.cli import (
     main,
 )
 from layerode.mesh import build_mesh
-from layerode.problem import load_problem, validate
+from layerode.problem import (
+    ProblemValidationError,
+    load_problem,
+    problem_from_dict,
+    validate,
+)
 from layerode.solver import decompose, solve
 
 PROBLEMS = sorted(cases.PROBLEMS.glob("*.json"))
@@ -325,9 +332,20 @@ def _command_imports(args):
     return done.stdout, {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
 
 
+# a(t) = 2 - 2^-599 t + t^2 has its minimum 2 at t = 2^-600: its derivative's
+# two coefficients are 2^600 apart, so that line's root has a scale of its own
+NARROW_LINE = {"n": 1, "T": 1.0, "eps": [0.01], "u0": [0.0],
+               "A": [[[2.0, -2.0 ** -599, 1.0]]], "f": [1.0]}
+
+
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
-@pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: p.stem)
-def test_validate_runs_without_numpy(problem, flags):
+@pytest.mark.parametrize("problem", PROBLEMS + [NARROW_LINE],
+                         ids=lambda p: getattr(p, "stem", "narrow_line"))
+def test_validate_runs_without_numpy(problem, flags, tmp_path):
+    if isinstance(problem, dict):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem), encoding="utf-8")
+        problem = path
     out, imported = _command_imports(["validate", "--problem", str(problem)] + flags)
     assert out.startswith('{"alpha": 2.0' if flags else "alpha = 2")
     assert "layerode.problem" in imported
@@ -707,6 +725,59 @@ def test_wide_polynomial_validates(tmp_path, capsys):
     assert _assert_contract(tmp_path / "problem.json", WIDE_POLY, capsys)[0] == EXIT_OK
     assert main(["validate", "--problem", str(tmp_path / "problem.json")]) == EXIT_OK
     assert capsys.readouterr().out == "alpha = 1\n"
+
+
+# Row sums a(t) on [0, T] that dip below 0 many orders of magnitude away
+# from their other critical points, with the range of the reported time: at
+# t ~ 1.83e-65 the first is -1.2e44; the second is negative on (7.2, 1.5e44)
+# and shows it at the real part of a complex critical point
+NARROW_MINIMA = [
+    ([1.0, -1e109, 0, 1e238] + [0] * 7 + [1.0], 1.0, (1.8e-65, 1.9e-65)),
+    ([1.0, 0, 4.8e300, 0, 0, 0, -1.8e297] + [0] * 6 + [1e-12], 1e200, (8.4e43, 8.5e43)),
+]
+
+
+@pytest.mark.parametrize("entry, T, window", NARROW_MINIMA, ids=["tiny", "huge"])
+def test_narrow_minimum_is_rejected(entry, T, window, tmp_path, capsys):
+    data = {"n": 1, "T": T, "eps": [0.01], "u0": [0.0], "A": [[entry]], "f": [1.0]}
+    with pytest.raises(ProblemValidationError) as info:
+        validate(problem_from_dict(data))
+    assert (info.value.condition, info.value.row) == ("row-dominance", 1)
+    assert window[0] < info.value.t < window[1]
+    assert _assert_contract(tmp_path / "problem.json", data, capsys) == [EXIT_VALIDATION]
+
+
+def _positive_at(coeffs, t):
+    # Whether the polynomial with ascending rational coeffs is positive at
+    # the float t = p/q. The denominators are powers of two, as those of any
+    # sum of doubles are, so with d the largest of them, d q^degree times
+    # the value is the integer acc.
+    p, q = t.as_integer_ratio()
+    d = max(c.denominator for c in coeffs)
+    acc = 0
+    for k, c in enumerate(reversed(coeffs)):
+        acc = acc * p + c.numerator * (d // c.denominator) * q ** k
+    return acc > 0
+
+
+def test_accepted_draws_have_positive_row_sums():
+    # An exact yardstick for validate, in integers: wherever it accepts a
+    # draw, every row sum is positive at T 2^-k for k = 0, 4, .., 1100. Draw
+    # 78 of seed 26 and draw 96 of seed 32 have a row sum that is negative
+    # only near t = 2e-65 and 2e-48, far below their other critical points.
+    for seed in (26, 32):
+        rng = np.random.default_rng(seed)
+        for draw in range(200):
+            data = _contract_draw(rng)
+            try:
+                validate(problem_from_dict(data))
+            except ProblemValidationError:
+                continue
+            for i, row in enumerate(data["A"]):
+                coeffs = [sum(map(Fraction, col)) for col in zip_longest(*row, fillvalue=0.0)]
+                for k in range(0, 1101, 4):
+                    t = math.ldexp(data["T"], -k)
+                    assert _positive_at(coeffs, t), (seed, draw, i + 1, t)
 
 
 def test_random_problems_keep_the_exit_contract(tmp_path, capsys):

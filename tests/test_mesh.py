@@ -90,9 +90,14 @@ def test_bisection_is_nested_and_keeps_transitions():
     assert np.allclose(fine.points[1::2], midpoints, rtol=0.0, atol=1e-16)
 
 
-def test_crossing_time_closed_form():
-    points = interaction_points(cases.scaled_identity((1.0 / 64.0, 1.0 / 16.0), 1.0, 1.0))
-    assert points[(1, 2)] == pytest.approx(math.log(4.0) / 48.0, rel=1e-15)
+@pytest.mark.parametrize("eps, alpha, T, expected", [
+    ((1.0 / 64.0, 1.0 / 16.0), 1.0, 1.0, math.log(4.0) / 48.0),
+    # alpha (eps_2 - eps_1) and eps_1 eps_2 both underflow to 0
+    ((1e-200, 2e-200), 1e-200, 1e300, 2.0 * math.log(2.0)),
+], ids=["ordinary", "tiny_scales_and_rate"])
+def test_crossing_time_closed_form(eps, alpha, T, expected):
+    points = interaction_points(cases.scaled_identity(eps, alpha, T))
+    assert points[(1, 2)] == pytest.approx(expected, rel=1e-15)
 
 
 def test_crossing_time_of_adjacent_scales():
@@ -114,7 +119,7 @@ def test_crossing_time_of_subnormal_scale():
 
 
 def test_underflowing_crossing_time_raises():
-    # eps_1 eps_2 underflows to 0, so the crossing time is not positive
+    # eps_1 / alpha underflows to 0, so the crossing time is not positive
     vp = cases.scaled_identity((5e-324, 1e-300), 2.0, 1.0)
     with pytest.raises(MeshError, match=r"^crossing time \(1,2\) is not positive$"):
         interaction_points(vp)
