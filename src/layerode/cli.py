@@ -341,7 +341,7 @@ def main(argv=None):
     except (RuntimeError, ValueError) as exc:
         # MeshError, SolveFailureError and LinAlgError come from numpy-backed
         # modules, imported on the way out. validate raises LinAlgError too,
-        # where a row sum's coefficient overflows or eigvals fails to converge.
+        # where eigvals fails to converge.
         from numpy.linalg import LinAlgError
 
         from .mesh import MeshError

@@ -306,13 +306,9 @@ def _critical_times(coeffs, T):
 
 def _extremum_times(polys, T):
     """0, T and the critical times of every polynomial of polys, sorted and
-    each kept once; a nan time, if one occurs, is kept once and last, as
-    numpy's unique keeps it."""
+    each kept once."""
     times = [0.0, T] + [t for c in polys for t in _critical_times(c, T)]
-    ts = sorted(dict.fromkeys(t for t in times if not math.isnan(t)))
-    if any(map(math.isnan, times)):
-        ts.append(math.nan)
-    return ts
+    return sorted(dict.fromkeys(times))
 
 
 def validate(spec):
@@ -326,7 +322,8 @@ def validate(spec):
     point of any of them; those times hold every extremum the checks need,
     as the critical points are found scale by scale (_critical_times).
     A row sum is never added up from sampled entries, so entries that
-    cancel, or overflow in double, do not disturb it. Under the sign
+    cancel do not disturb it, and its coefficients are added up at a scale
+    where no finite entries overflow. Under the sign
     condition a row sum equals a_ii - sum_{j != i} |a_ij|, so a positive
     row sum is strict row dominance. A violation reports the earliest of
     those times at which it shows. The arithmetic is on Python floats and
@@ -334,8 +331,15 @@ def validate(spec):
     """
     pairs = [(i, j) for i in range(spec.n) for j in range(spec.n) if i != j]
     off_entries = [spec.A[i][j] for i, j in pairs]
-    # coefficient by coefficient; -0.0 is the sum's identity, so zero signs stay
-    row_sums = [tuple(sum(col, -0.0) for col in zip_longest(*row, fillvalue=-0.0))
+    # coefficient by coefficient, over entries divided by the least power of
+    # two that keeps every sum of n of them below 2^1024: 1 unless an entry
+    # comes within a factor 2n of overflow. The scale leaves the roots as
+    # they are, and the values are scaled back. -0.0 is the sum's identity,
+    # so zero signs stay.
+    top = max(math.frexp(c)[1] for row in spec.A for p in row for c in p)
+    scale = 2.0 ** max(0, top + spec.n.bit_length() - 1024)
+    row_sums = [tuple(sum((c / scale for c in col), -0.0)
+                      for col in zip_longest(*row, fillvalue=-0.0))
                 for row in spec.A]
     ts = _extremum_times(off_entries + row_sums, spec.T)
     for t in ts:
@@ -350,11 +354,10 @@ def validate(spec):
                     col=j + 1,
                     t=t,
                 )
-    sums = [[_polyval(c, t) for c in row_sums] for t in ts]
+    sums = [[_polyval(c, t) * scale for c in row_sums] for t in ts]
     for t, row in zip(ts, sums):
         for i, value in enumerate(row):
-            # written so that a row sum that is not a number (inf - inf) fails too
-            if not value > 0.0:
+            if value <= 0.0:
                 raise ProblemValidationError(
                     "row-dominance",
                     "row %d of the coefficient matrix is not strictly diagonally dominant "

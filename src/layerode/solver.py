@@ -5,16 +5,9 @@ A and f from sample_A and sample_f on all step times at once; the layer part
 of decompose is the same march on the problem's zero-forcing twin. Step
 matrices inherit positive diagonals, nonpositive off-diagonal entries and
 strict row dominance from A(t), so every step is a monotone
-(inverse-nonnegative) solve. The march runs in at most 8 chunks of at
-least 2048 steps, each from the last value of the one before, into one
-(N+1, n) grid. A chunk builds its step matrices into a stack padded with
-identities to its own scan's block shape and inverts it in one call,
-evaluates the affine recurrence U_j = P_j U_{j-1} + q_j as a blocked scan
-in about 2 sqrt(L) vectorized iterations on the inverses in place (L steps
-in the chunk), and then checks each of its steps' residuals in one
-vectorized pass. At most two stacks of one chunk are live at once: its
-step matrices and their inverses, about a quarter of one (N, n, n) stack
-on a long march.
+(inverse-nonnegative) solve. march cuts the steps into chunks, and
+_march_chunk turns a chunk's steps into affine maps laid out in the block
+shape of the scan that _affine_recurrence runs on them.
 The certificates at the bottom of this module check the two consequences of
 the monotone structure on computed grids: preservation of nonnegative data
 and the maximum-norm stability bound.
@@ -35,7 +28,6 @@ __all__ = [
     "SolutionGrid",
     "DecomposedSolution",
     "StabilityCertificate",
-    "step_matrices",
     "march",
     "solve",
     "decompose",
@@ -86,49 +78,18 @@ class StabilityCertificate:
     ok: bool
 
 
-def step_matrices(vp, mesh):
-    """Left-hand matrices of all N steps, shape (N, n, n).
-
-    Entry j-1 is diag(eps)/delta_j + A(t_j), the matrix of step j.
-    """
-    return _step_matrices(vp.spec, mesh, 0, mesh.N, mesh.N)
-
-
-def _step_matrices(spec, mesh, lo, hi, size):
-    """The matrices of steps lo+1 .. hi in the first hi - lo entries of a
-    (size, n, n) stack, and identity matrices in the entries after them."""
-    n = spec.n
-    m = np.empty((size, n, n))
-    m[hi - lo:] = np.eye(n)
-    m[:hi - lo] = sample_A(spec, mesh.points[lo + 1:hi + 1])
-    idx = np.arange(n)
-    m[:hi - lo, idx, idx] += np.asarray(spec.eps) / mesh.deltas[lo:hi, None]
-    return m
-
-
-def _scan_blocks(N):
-    """Block count K and block length B of the scan over N steps:
-    B = isqrt(N) and K = ceil(N / B), so K B - N < B padding steps."""
-    B = math.isqrt(N)
-    return -(-N // B), B
-
-
-def _affine_recurrence(p, q, out):
+def _affine_recurrence(s, c, out):
     """Run U_j = P_j U_{j-1} + q_j from U_0 = out[0], writing U_j into
-    out[j] for j = 1 .. N.
+    out[j] for j = 1 .. N, as a blocked scan over K blocks of B steps.
 
-    q holds the offsets q_j, shape (N, n). p holds the maps P_j in its first
-    N entries, followed by identities up to the scan's K B entries
-    (_scan_blocks(N)): the caller pads p to the shape of this scan, so the
-    scan needs no padded copy of it, and p is composed in place.
-
-    The recurrence is a blocked scan. The steps are cut into K blocks of B
-    steps; the identity maps and zero offsets that pad the last block
-    change nothing exactly (I S = S and I c + 0 = c). Within every block
-    the prefix maps U -> S_i U + c_i are composed in place, vectorized
-    across blocks in B - 1 iterations. The block ends are then carried
-    across the blocks, one iteration per block, and each block's prefix
-    maps are applied to its start value in one batched product.
+    s holds the maps and c the offsets in block shape, (K, B, n, n) and
+    (K, B, n), with P_j and q_j at flat step j - 1; entries past step N are
+    identity maps and zero offsets, which change nothing exactly (I S = S
+    and I c + 0 = c). Both are overwritten. Within every block the prefix
+    maps U -> S_i U + c_i are composed in place, vectorized across blocks
+    in B - 1 iterations. The block ends are then carried across the
+    blocks, one iteration per block, and each block's prefix maps are
+    applied to its start value in one batched product.
 
     When P_j is nonnegative with row sums at most one, as in a march, every
     composed map is a nonnegative contraction and the error stays relative
@@ -139,15 +100,12 @@ def _affine_recurrence(p, q, out):
     the result is u bit for bit, as marching step by step gives; composed
     maps would round it.
     """
-    N, n = q.shape
+    K, B, n = c.shape
     u = out[0]
-    if (np.einsum("jik,k->ji", p[:N], u) + q == u).all():
+    if (np.einsum("kbij,j->kbi", s, u) + c == u).all():
         out[1:] = u
         return
 
-    K, B = _scan_blocks(N)
-    s = p.reshape(K, B, n, n)
-    c = np.concatenate([q, np.zeros((K * B - N, n))]).reshape(K, B, n)
     for i in range(1, B):
         # S_i = P_i S_{i-1} in place of P_i, c_i = P_i c_{i-1} + q_i
         c[:, i] += np.einsum("kij,kj->ki", s[:, i], c[:, i - 1])
@@ -157,7 +115,7 @@ def _affine_recurrence(p, q, out):
     for k in range(K - 1):
         starts[k + 1] = s[k, -1] @ starts[k] + c[k, -1]
     c += np.einsum("kbij,kj->kbi", s, starts)
-    out[1:] = c.reshape(K * B, n)[:N]
+    out[1:] = c.reshape(K * B, n)[:len(out) - 1]
 
 
 def _max_norms(x):
@@ -172,32 +130,24 @@ def march(vp, mesh, u_init):
 
     The N steps are marched in chunks of max(2048, ceil(N/8)) steps (at
     most 8 chunks, and one chunk when N <= 2048), each from the last value
-    of the chunk before it, into one (N+1, n) grid. A chunk of L steps
-    builds its step matrices M_j into a stack padded with identity matrices
-    to its own scan shape (_scan_blocks(L)), takes their |M_j| row sums for
-    the guard below, and inverts the stack in one batched call; inv(I) is
-    exactly I, so the inverses come out padded as the scan needs them. Each
-    step becomes the affine map U_j = P_j U_{j-1} + q_j with
-    P_j = M_j^-1 diag(eps)/delta_j and q_j = M_j^-1 f(t_j). The recurrence
-    is evaluated as a blocked scan in about 2 sqrt(L) vectorized
-    iterations, composing the P_j in place (see _affine_recurrence), and
-    the maps are dropped before the guard, so at most two (L, n, n) stacks
-    of one chunk are live at once. Then every step of the chunk is checked
-    against the system it solves, in one vectorized pass: the residual
-    guard requires
+    of the chunk before it, into one (N+1, n) grid; a chunk of L steps is
+    a blocked scan of about 2 sqrt(L) vectorized iterations (see
+    _march_chunk). Then every step of the chunk is checked against the
+    system it solves, in one vectorized pass: the residual guard requires
     |M_j U_j - b_j| <= STEP_RESIDUAL_RTOL * (1 + |b_j| + |M_j| |U_j|) in the
-    maximum norm, with b_j = diag(eps)/delta_j U_{j-1} + f(t_j), a bound on
-    the normwise backward error of each solve; the first step that fails
-    it or has a non-finite residual raises SolveFailureError, before any
-    later chunk is marched. The tolerance is the module constant, read at
-    call time.
+    maximum norm, with M_j = diag(eps)/delta_j + A(t_j) and
+    b_j = diag(eps)/delta_j U_{j-1} + f(t_j), a bound on the normwise
+    backward error of each solve; the first step that fails it or has a
+    non-finite residual raises SolveFailureError, before any later chunk is
+    marched. The tolerance is the module constant, read at call time.
 
     Parameters
     ----------
     vp : ValidatedProblem
         Problem with established alpha and sign structure.
     mesh : ShishkinMesh
-        Mesh to march over; must match the problem's horizon and scales.
+        Mesh to march over; must end exactly at the problem's horizon and
+        have one scale per component.
     u_init : array_like
         Value at t = 0 for this grid.
 
@@ -212,7 +162,7 @@ def march(vp, mesh, u_init):
         raise ValueError(
             "mesh was built for %d scale(s), the problem has %d" % (mesh.n, n)
         )
-    if abs(mesh.T - spec.T) > 1e-12 * max(1.0, spec.T):
+    if mesh.T != spec.T:
         raise ValueError(
             "mesh horizon %r does not match problem horizon %r" % (mesh.T, spec.T)
         )
@@ -234,26 +184,43 @@ def march(vp, mesh, u_init):
 
 def _march_chunk(vp, mesh, lo, hi, values):
     """March steps lo+1 .. hi from values[lo] into values[lo+1 .. hi] and
-    check their residuals (see march)."""
+    check their residuals.
+
+    The L = hi - lo steps are laid out in the scan's block shape: K blocks
+    of B = isqrt(L) steps, K = ceil(L / B), so K B - L < B steps pad the
+    last block. The step matrices M_j = diag(eps)/delta_j + A(t_j) fill one
+    (K B, n, n) stack, padded with identity matrices, whose |M_j| row sums
+    the guard keeps and which is inverted in one batched call; inv(I) is
+    exactly I, so the inverses come out padded too. Each step becomes the
+    affine map U_j = P_j U_{j-1} + q_j with P_j = M_j^-1 diag(eps)/delta_j
+    in place of the inverses and q_j = M_j^-1 f(t_j) in a zero-padded
+    (K B, n) array, and _affine_recurrence runs the scan on them. The maps
+    are dropped before the guard, so at most two stacks of the chunk are
+    live at once.
+    """
     spec = vp.spec
-    L = hi - lo
-    K, B = _scan_blocks(L)
+    n, L = spec.n, hi - lo
+    B = math.isqrt(L)
+    K = -(-L // B)
     ed = np.asarray(spec.eps) / mesh.deltas[lo:hi, None]
-    m = _step_matrices(spec, mesh, lo, hi, K * B)
+    m = np.empty((K * B, n, n))
+    m[L:] = np.eye(n)
+    m[:L] = sample_A(spec, mesh.points[lo + 1:hi + 1])
+    idx = np.arange(n)
+    m[:L, idx, idx] += ed
     # |M_j| row sums, then their maximum: the (i, k, j) copy keeps j
     # contiguous, and it is the one copy of the stack taken here
     m_abs = np.ascontiguousarray(m[:L].transpose(1, 2, 0))
     m_norms = np.abs(m_abs, out=m_abs).sum(axis=1).max(axis=0)
     del m_abs
-    # inv(I) is exactly I, so the identities that pad the stack to the
-    # scan's K B steps come out of the one inv call already in place
     p = np.linalg.inv(m)
     m = m[:L]
     f = sample_f(spec, mesh.points[lo + 1:hi + 1])
-    q = np.einsum("jik,jk->ji", p[:L], f)
+    q = np.zeros((K * B, n))
+    np.einsum("jik,jk->ji", p[:L], f, out=q[:L])
     p[:L] *= ed[:, None, :]
     out = values[lo:hi + 1]
-    _affine_recurrence(p, q, out)
+    _affine_recurrence(p.reshape(K, B, n, n), q.reshape(K, B, n), out)
     del p, q
 
     b = ed * out[:-1]

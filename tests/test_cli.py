@@ -730,16 +730,26 @@ def test_wide_polynomial_validates(tmp_path, capsys):
 # Row sums a(t) on [0, T] that dip below 0 many orders of magnitude away
 # from their other critical points, with the range of the reported time: at
 # t ~ 1.83e-65 the first is -1.2e44; the second is negative on (7.2, 1.5e44)
-# and shows it at the real part of a complex critical point
+# and shows it at the real part of a complex critical point. In the last
+# two, row 1's sum 3 - 3.4e308 t + t^2 (+ t^3) has a t coefficient beyond
+# double range where its entries are added up as they stand; it turns
+# negative near t = 1e-308 and shows it at T = 1, where it overflows. The
+# cubic's derivative goes through polyroots.
+OVERFLOWING_ROW = [[-1.0, -1.7e308], [-1.0, -1.7e308]]
 NARROW_MINIMA = [
-    ([1.0, -1e109, 0, 1e238] + [0] * 7 + [1.0], 1.0, (1.8e-65, 1.9e-65)),
-    ([1.0, 0, 4.8e300, 0, 0, 0, -1.8e297] + [0] * 6 + [1e-12], 1e200, (8.4e43, 8.5e43)),
+    ([[[1.0, -1e109, 0, 1e238] + [0] * 7 + [1.0]]], 1.0, (1.8e-65, 1.9e-65)),
+    ([[[1.0, 0, 4.8e300, 0, 0, 0, -1.8e297] + [0] * 6 + [1e-12]]], 1e200, (8.4e43, 8.5e43)),
+    ([[[5.0, 0, 1.0]] + OVERFLOWING_ROW, [0, 1.0, 0], [0, 0, 1.0]], 1.0, (0.5, 1.5)),
+    ([[[5.0, 0, 1.0, 1.0]] + OVERFLOWING_ROW, [0, 1.0, 0], [0, 0, 1.0]], 1.0, (0.5, 1.5)),
 ]
 
 
-@pytest.mark.parametrize("entry, T, window", NARROW_MINIMA, ids=["tiny", "huge"])
-def test_narrow_minimum_is_rejected(entry, T, window, tmp_path, capsys):
-    data = {"n": 1, "T": T, "eps": [0.01], "u0": [0.0], "A": [[entry]], "f": [1.0]}
+@pytest.mark.parametrize("A, T, window", NARROW_MINIMA,
+                         ids=["tiny", "huge", "overflow_quadratic", "overflow_cubic"])
+def test_narrow_minimum_is_rejected(A, T, window, tmp_path, capsys):
+    n = len(A)
+    data = {"n": n, "T": T, "eps": [0.01, 0.02, 0.03][:n], "u0": [0.0] * n, "A": A,
+            "f": [1.0] * n}
     with pytest.raises(ProblemValidationError) as info:
         validate(problem_from_dict(data))
     assert (info.value.condition, info.value.row) == ("row-dominance", 1)

@@ -16,7 +16,6 @@ from layerode.solver import (
     decompose,
     march,
     solve,
-    step_matrices,
 )
 
 SUITE_N = (16, 64)
@@ -45,19 +44,28 @@ def _uniform_mesh(N, T, sigmas, bits):
     )
 
 
-def test_step_matrix_values():
+def _step_matrices(vp, mesh):
+    # Reference: diag(eps)/delta_j + A(t_j), the matrix of step j, in entry
+    # j - 1 of an (N, n, n) stack.
+    eps = np.diag(vp.spec.eps)
+    return sample_A(vp.spec, mesh.points[1:]) + eps / mesh.deltas[:, None, None]
+
+
+def test_coupled_march_hand_values():
+    # delta = 1/8 gives the step matrix [[2.5, -1], [-1, 4]], whose inverse
+    # is [[4, 1], [1, 2.5]] / 9, and diag(eps)/delta = diag(0.5, 2)
     vp = validate(cases.layer_two_scale(eps=(0.0625, 0.25)))
     mesh = _uniform_mesh(8, 1.0, (0.25, 0.5), (0, 0))
-    m = step_matrices(vp, mesh)
-    assert m.shape == (8, 2, 2)
-    assert np.array_equal(m[0], np.array([[2.5, -1.0], [-1.0, 4.0]]))
+    values = march(vp, mesh, (1.0, 1.0)).values
+    assert values[1].tolist() == pytest.approx([4.0 / 9.0, 11.0 / 18.0], rel=1e-15)
+    assert values[2].tolist() == pytest.approx([19.0 / 81.0, 29.5 / 81.0], rel=1e-15)
 
 
 def test_random_step_matrices_are_m_matrices():
     rng = np.random.default_rng(7121)
     for _ in range(100):
         vp = validate(cases.random_nonneg_problem(rng))
-        m = step_matrices(vp, build_mesh(vp, 64))
+        m = _step_matrices(vp, build_mesh(vp, 64))
         diag = np.diagonal(m, axis1=1, axis2=2)
         off = m - diag[:, :, None] * np.eye(vp.spec.n)
         assert (off <= 0.0).all()
@@ -329,6 +337,11 @@ def test_march_rejects_foreign_mesh():
     scalar = validate(cases.decay_scalar())
     with pytest.raises(ValueError):
         march(scalar, wrong_T, scalar.spec.u0)
+    # horizons 5e-13 and 1e-13 differ by far less than 1e-12
+    tiny = cases.scaled_identity((1e-15,), 1.0, 5e-13)
+    tinier = build_mesh(cases.scaled_identity((1e-15,), 1.0, 1e-13), 16)
+    with pytest.raises(ValueError, match="horizon"):
+        march(tiny, tinier, (1.0,))
 
 
 def test_march_rejects_bad_initial_value():
@@ -373,7 +386,7 @@ def test_residual_guard_tolerance_scale(name, spec, monkeypatch):
     vp = validate(spec)
     mesh = build_mesh(vp, 64)
     values = march(vp, mesh, vp.spec.u0).values
-    m = step_matrices(vp, mesh)
+    m = _step_matrices(vp, mesh)
     f = sample_f(vp.spec, mesh.points[1:])
     eps = np.asarray(vp.spec.eps)
     ratio = 0.0
