@@ -76,7 +76,8 @@ def build_mesh(vp, N):
     sigma_i = min(sigma_{i+1}/2, (eps_i/alpha) ln N). Bit b_i = 0 records the
     halving branch (ties count as halving), b_i = 1 the layer-width branch.
     The n+1 uniform pieces get N/2^n, N/2^(n-i+1) (i = 1 .. n-1) and N/2
-    intervals. N must be a multiple of 2^n; anything else raises MeshError.
+    intervals. N must be a multiple of 2^n; anything else raises MeshError,
+    as does a first piece too narrow for its intervals to be told apart.
     """
     eps, alpha, T = vp.spec.eps, vp.alpha, vp.spec.T
     n = len(eps)
@@ -96,6 +97,13 @@ def build_mesh(vp, N):
             bits[i] = 1
         upper = sigmas[i]
     counts = [N // 2 ** n] + [N // 2 ** (n - i + 1) for i in range(1, n)] + [N // 2]
+    # The first piece has the least width per interval. Below one least
+    # double per interval no mesh can hold its points apart.
+    if sigmas[0] < counts[0] * math.ulp(0.0):
+        raise MeshError(
+            "the first piece [0, sigma_1] is %r wide, too narrow for %d intervals: "
+            "their width underflows" % (sigmas[0], counts[0])
+        )
     bounds = (0.0, *sigmas, T)
     pieces = [
         np.linspace(bounds[k], bounds[k + 1], counts[k] + 1) for k in range(n + 1)

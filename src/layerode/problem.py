@@ -1,13 +1,12 @@
 """Problem data for stiff linear systems E u' + A(t) u = f(t) on [0, T].
 
 Matrix and forcing entries are polynomials in t, held as tuples of ascending
-coefficients and evaluated by one Horner rule (_polyval): on arrays of
-times by sample_A and sample_f, on single times by validate. That keeps
-the file format trivial and makes admissibility exact: each extremum on
-[0, T] sits at an endpoint or at a root of the derivative. Validation
-establishes the sign and dominance structure of A(t) that the stepping
-operator's monotonicity relies on, and extracts the decay rate alpha, the
-infimum of the row sums, used to place mesh transition points.
+coefficients and evaluated by one Horner rule (_polyval): in floats on
+arrays of times by sample_A and sample_f, exactly on single times by
+validate. Each extremum on [0, T] sits at an endpoint or at a root of the
+derivative. Validation establishes the sign and dominance structure of A(t)
+that the stepping operator's monotonicity relies on, and extracts the decay
+rate alpha, the least row sum, used to place mesh transition points.
 
 This module imports numpy only inside the functions that need it: the
 samplers, and validate where a derivative, at one scale of its roots, is a
@@ -21,6 +20,7 @@ import math
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from itertools import zip_longest
 
 __all__ = [
@@ -64,15 +64,20 @@ class ProblemValidationError(ValueError):
         super().__init__(message)
 
 
-def _number(value, what):
-    # Any real number but a bool (JSON true/false, which float() reads as 1/0).
-    # An integer beyond double range reads as +-inf, as 1e400 in a file does.
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ProblemFormatError(f"{what} must be a number, got {value!r}")
+def _float(value):
+    # value, an integer or a fraction too, as a double; beyond double range
+    # +-inf, as 1e400 in a file reads, with the sign compared exactly
     try:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def _number(value, what):
+    # Any real number but a bool (JSON true/false, which float() reads as 1/0).
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ProblemFormatError(f"{what} must be a number, got {value!r}")
+    return _float(value)
 
 
 def _finite(value, what):
@@ -206,10 +211,10 @@ class ValidatedProblem:
 
 
 def _polyval(coeffs, t):
-    """The polynomial with ascending coeffs at t, a float or an array of
-    times, by Horner's rule written as numpy.polynomial's polyval writes it,
-    so the two agree bit for bit."""
-    acc = coeffs[-1] + 0.0 * t
+    """The polynomial with ascending coeffs at t, by Horner's rule written as
+    numpy.polynomial's polyval writes it, so the two agree bit for bit on
+    floats and arrays of times; on Fractions it is exact."""
+    acc = coeffs[-1] + 0 * t
     for c in coeffs[-2::-1]:
         acc = acc * t + c
     return acc
@@ -253,27 +258,25 @@ def _critical_times(coeffs, T):
     polynomial attains its extrema on [0, T]; extra points are harmless.
 
     The roots are found one magnitude scale at a time, so that none is lost
-    beside much larger ones. Each derivative coefficient d_k = (k+1) c_(k+1)
-    is held as m 2^e with m in [1/2, 1), finite even where d_k overflows.
-    The upper hull of the points (k, e) is d's Newton polygon; an edge of
-    slope sigma carries the roots of magnitude near 2^-sigma. For each edge,
-    with s its -sigma rounded to a multiple of 32, the roots come from the
-    polynomial in tau = t / 2^s: coefficients d_k 2^(ks), scaled by one
-    power of two so that the largest lies in [1/2, 1). Leading terms that
-    stay below 2^-52 of the largest all over |tau| <= 2^20, around the
-    edge's roots, are dropped, so no ratio of two coefficients overflows. A
-    line has the root -g0/g1, polyroots' own formula; higher degrees take
-    polyroots' companion eigenvalues. Each root is clipped to [0, T] before
-    it is scaled back by 2^s, so nothing overflows. Where every slope rounds
-    to 0 nothing is dropped, and the one pass finds d's roots as polyroots
-    finds them.
+    beside much larger ones. coeffs are exact rationals with power-of-two
+    denominators, so each d_k = (k+1) c_(k+1) is exact, with a binary
+    exponent e, |d_k| in [2^(e-1), 2^e), however large it is. The upper
+    hull of the points (k, e) is d's Newton polygon; an edge of slope sigma
+    carries the roots of magnitude near 2^-sigma. For each edge, with s its
+    -sigma rounded to a multiple of 32, the roots come from the polynomial
+    in tau = t / 2^s: coefficients d_k 2^(ks), scaled by one power of two so
+    that the largest lies in [1/2, 1), each rounded once to a double.
+    Leading terms that stay below 2^-52 of the largest all over |tau| <=
+    2^20, around the edge's roots, are dropped, so no ratio of two
+    coefficients overflows. A line has the root -g0/g1, polyroots' own
+    formula; higher degrees take polyroots' companion eigenvalues. Each root
+    is clipped to [0, T] before it is scaled back by 2^s, so nothing
+    overflows. Where every slope rounds to 0 nothing is dropped, and the one
+    pass finds d's roots as polyroots finds them.
     """
-    terms = []
-    for k, c in enumerate(coeffs[1:], 1):
-        m, e = math.frexp(c)
-        m, shift = math.frexp(k * m)
-        terms.append((m, e + shift))
-    points = [(k, e) for k, (m, e) in enumerate(terms) if m]
+    d = [k * c for k, c in enumerate(coeffs[1:], 1)]
+    points = [(k, abs(c.numerator).bit_length() - c.denominator.bit_length() + 1)
+              for k, c in enumerate(d) if c]
     hull = []
     for k, e in points:
         # a point on or below the chord from its neighbours leaves the hull
@@ -289,7 +292,7 @@ def _critical_times(coeffs, T):
         reach = max(e + k * (s + 20) for k, e in points) - 53
         lead = max(k for k, e in points if e + k * (s + 20) >= reach)
         top = max(e + k * s for k, e in points)
-        g = [math.ldexp(m, e + k * s - top) for k, (m, e) in enumerate(terms[:lead + 1])]
+        g = [float(c * Fraction(2) ** (k * s - top)) for k, c in enumerate(d[:lead + 1])]
         if len(g) == 2:
             roots = [-g[0] / g[1]]
         else:
@@ -312,62 +315,57 @@ def _extremum_times(polys, T):
 
 
 def validate(spec):
-    """Admissibility check from the exact extrema of A(t) over [0, T].
+    """Admissibility check from the extrema of A(t) over [0, T].
 
     Verifies that every off-diagonal entry is nonpositive and every row sum
-    positive on the whole interval, takes alpha as the infimum of the row
-    sums, and checks that the horizon covers the slowest layer
+    positive on the whole interval, takes alpha as the least row sum, and
+    checks that the horizon covers the slowest layer
     (T >= 2 max(eps) / alpha). Each off-diagonal entry and each row sum is
-    a polynomial, evaluated as such at both endpoints and at every critical
-    point of any of them; those times hold every extremum the checks need,
-    as the critical points are found scale by scale (_critical_times).
-    A row sum is never added up from sampled entries, so entries that
-    cancel do not disturb it, and its coefficients are added up at a scale
-    where no finite entries overflow. Under the sign
-    condition a row sum equals a_ii - sum_{j != i} |a_ij|, so a positive
-    row sum is strict row dominance. A violation reports the earliest of
-    those times at which it shows. The arithmetic is on Python floats and
-    raises no warning.
+    a polynomial, evaluated at both endpoints and at every critical point
+    of any of them; those times hold every extremum the checks need, as
+    the critical points are found scale by scale (_critical_times), each
+    to within rounding. The entries are carried as exact rationals (every
+    double is one), so a row sum's coefficients add up exactly, where
+    entries cancel or overflow in double too, and every value at those
+    times is exact: each sign is decided without rounding, and only alpha
+    and the numbers in messages are rounded to doubles, once. Under the
+    sign condition a row sum equals a_ii - sum_{j != i} |a_ij|, so a
+    positive row sum is strict row dominance. A violation reports the
+    earliest of those times at which it shows.
     """
     pairs = [(i, j) for i in range(spec.n) for j in range(spec.n) if i != j]
-    off_entries = [spec.A[i][j] for i, j in pairs]
-    # coefficient by coefficient, over entries divided by the least power of
-    # two that keeps every sum of n of them below 2^1024: 1 unless an entry
-    # comes within a factor 2n of overflow. The scale leaves the roots as
-    # they are, and the values are scaled back. -0.0 is the sum's identity,
-    # so zero signs stay.
-    top = max(math.frexp(c)[1] for row in spec.A for p in row for c in p)
-    scale = 2.0 ** max(0, top + spec.n.bit_length() - 1024)
-    row_sums = [tuple(sum((c / scale for c in col), -0.0)
-                      for col in zip_longest(*row, fillvalue=-0.0))
-                for row in spec.A]
+    A = [[tuple(map(Fraction, p)) for p in row] for row in spec.A]
+    off_entries = [A[i][j] for i, j in pairs]
+    row_sums = [tuple(map(sum, zip_longest(*row, fillvalue=0))) for row in A]
     ts = _extremum_times(off_entries + row_sums, spec.T)
-    for t in ts:
+    xs = list(map(Fraction, ts))
+    for t, x in zip(ts, xs):
         for (i, j), c in zip(pairs, off_entries):
-            value = _polyval(c, t)
-            if value > 0.0:
+            value = _polyval(c, x)
+            if value > 0:
                 raise ProblemValidationError(
                     "off-diagonal-sign",
                     "entry (%d,%d) of the coefficient matrix is positive (%.6g) at t=%.6g"
-                    % (i + 1, j + 1, value, t),
+                    % (i + 1, j + 1, _float(value), t),
                     row=i + 1,
                     col=j + 1,
                     t=t,
                 )
-    sums = [[_polyval(c, t) * scale for c in row_sums] for t in ts]
+    sums = [[_polyval(c, x) for c in row_sums] for x in xs]
     for t, row in zip(ts, sums):
         for i, value in enumerate(row):
-            if value <= 0.0:
+            if value <= 0:
                 raise ProblemValidationError(
                     "row-dominance",
                     "row %d of the coefficient matrix is not strictly diagonally dominant "
                     "at t=%.6g (row sum, a_ii - sum_j |a_ij|, is %.6g)"
-                    % (i + 1, t, value),
+                    % (i + 1, t, _float(value)),
                     row=i + 1,
                     t=t,
                 )
-    alpha = min(map(min, sums))
-    needed = 2.0 * spec.eps[-1] / alpha
+    alpha = _float(min(map(min, sums)))
+    # a row sum below half the least double rounds to alpha = 0: no T fits
+    needed = 2.0 * spec.eps[-1] / alpha if alpha else math.inf
     if spec.T < needed:
         raise ProblemValidationError(
             "horizon",

@@ -1,6 +1,7 @@
 """Shared problem builders and randomized generators for the test suite."""
 
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -161,3 +162,35 @@ def random_separated_eps(rng, n):
     for _ in range(n - 1):
         values.append(values[-1] / float(rng.uniform(2.0, 32.0)))
     return tuple(reversed(values))
+
+
+def exact_march(spec, mesh, u, lo=0, hi=None):
+    """The backward-Euler march in exact rationals: U_lo .. U_hi (hi = N by
+    default) from U_lo = u, as lists of Fractions.
+
+    Step j solves (E/delta_j + A(t_j)) U_j = f(t_j) + (E/delta_j) U_{j-1}
+    exactly, on the floats the march reads: mesh.points, mesh.deltas, eps
+    and the coefficients, each taken as the rational it is. So it is the
+    scheme's true discrete solution, which any float march only rounds.
+    Denominators grow by some 170 bits a step, so keep runs short.
+    """
+    def value(coeffs, t):
+        return sum(Fraction(c) * t ** k for k, c in enumerate(coeffs))
+
+    n = spec.n
+    hi = mesh.N if hi is None else hi
+    out = [[Fraction(float(v)) for v in u]]
+    for j in range(lo + 1, hi + 1):
+        t = Fraction(float(mesh.points[j]))
+        ed = [Fraction(e) / Fraction(float(mesh.deltas[j - 1])) for e in spec.eps]
+        # the augmented rows [M_j | b_j]; M_j is strictly row dominant, so
+        # Gauss-Jordan needs no pivoting
+        m = [[value(spec.A[i][k], t) + (ed[i] if i == k else 0) for k in range(n)]
+             + [value(spec.f[i], t) + ed[i] * out[-1][i]] for i in range(n)]
+        for i in range(n):
+            for r in range(n):
+                if r != i and m[r][i]:
+                    factor = m[r][i] / m[i][i]
+                    m[r] = [a - factor * b for a, b in zip(m[r], m[i])]
+        out.append([m[i][n] / m[i][i] for i in range(n)])
+    return out

@@ -118,9 +118,25 @@ def test_mesh_csv_round_trips_points(tmp_path, capsys):
 
 def test_broken_mesh_geometry_exits_4(tmp_path, capsys):
     # the problem of test_mesh::test_geometry_guard_rejects_repeated_points
-    path = _write_problem(tmp_path, cases.constant_two_scale(eps=(5e-324, 1.0)))
+    path = _write_problem(tmp_path, cases.constant_two_scale(eps=(6e-323, 1.0)))
     assert main(["mesh", "--problem", path, "--N", "64"]) == EXIT_MESH
     assert capsys.readouterr() == ("", "mesh error: mesh points are not strictly increasing\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["mesh", "--N", "16"],
+    ["solve", "--N", "16"],
+    ["converge", "--N", "16,32"],
+], ids=["mesh", "solve", "converge"])
+def test_underflowing_layer_exits_4_naming_it(tmp_path, capsys, args):
+    # admissible with alpha = 1e10, but (eps_1/alpha) ln N underflows to 0
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"n": 1, "T": 1.0, "eps": [1e-320], "u0": [1.0],
+                                "A": [[1e10]], "f": [0.0]}), encoding="utf-8")
+    assert main([args[0], "--problem", str(path)] + args[1:]) == EXIT_MESH
+    assert capsys.readouterr() == ("", "mesh error: the first piece [0, sigma_1] is 0.0 "
+                                       "wide, too narrow for 8 intervals: their width "
+                                       "underflows\n")
 
 
 def test_solve_csv_matches_library(tmp_path, capsys):

@@ -61,11 +61,22 @@ def test_unusable_n_rejected():
 
 
 def test_geometry_guard_rejects_repeated_points():
-    # eps_1 = 5e-324 validates, but the first transition point is a few
-    # subnormals wide, too narrow for the mesh points of its piece to differ
-    vp = validate(cases.constant_two_scale(eps=(5e-324, 1.0)))
+    # eps_1 = 6e-323 (12 least doubles) validates, and its first piece is 25
+    # least doubles wide: room for 16 intervals, but linspace rounds their
+    # width up to 2, so the points of the piece overrun its end
+    vp = validate(cases.constant_two_scale(eps=(6e-323, 1.0)))
     assert vp.alpha == 2.0
     with pytest.raises(MeshError, match="^mesh points are not strictly increasing$"):
+        build_mesh(vp, 64)
+
+
+def test_underflowing_first_piece_named():
+    # eps_1 = 5e-324 validates, but (eps_1/alpha) ln N rounds to 0
+    vp = validate(cases.constant_two_scale(eps=(5e-324, 1.0)))
+    assert vp.alpha == 2.0
+    message = (r"^the first piece \[0, sigma_1\] is 0.0 wide, too narrow for 16 intervals: "
+               "their width underflows$")
+    with pytest.raises(MeshError, match=message):
         build_mesh(vp, 64)
 
 

@@ -1,6 +1,9 @@
 """Problem statement, admissibility validation and the JSON layout."""
 
+import math
+import random
 from dataclasses import asdict, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -187,8 +190,7 @@ def test_offdiagonal_positive_between_samples_rejected():
 # "cancel", entries (1,1) = 1 + 1e17 t^2 and (1,2) = -1e17 t^2 sum to 0 in
 # double at t = 1; in "overflow", (1,1) = 3 + 1e308 t^2 and
 # (1,2) = -1 - 1e308 t^2 overflow at t = 10, so their sampled sum is
-# inf - inf = nan. The row sums are exactly 1 and 2, and validate's
-# arithmetic on Python floats raises no warning.
+# inf - inf = nan. The row sums are exactly 1 and 2.
 @pytest.mark.parametrize("row, T, alpha", [
     ([[1, 0, 1e17], [0, 0, -1e17]], 1.0, 1.0),
     ([[3, 0, 1e308], [-1, 0, -1e308]], 10.0, 2.0),
@@ -199,6 +201,64 @@ def test_row_sum_is_exact_where_entries_cancel_or_overflow(row, T, alpha):
         "A": [row, [-1, 3]], "f": [2, 2],
     })
     assert validate(spec).alpha == alpha
+
+
+def _assert_exact_verdict(coeffs):
+    # validate accepts a(t) = c0 + c1 t + c2 t^2 (c2 > 0) on [0, 1] exactly
+    # when its least value there is positive, and then alpha is that value
+    # to 1e-13 relative; returns alpha, or None for a rejection. eps is tiny
+    # so that the horizon never decides.
+    c0, c1, c2 = map(Fraction, coeffs)
+    t = min(max(-c1 / (2 * c2), 0), 1)
+    least = c0 + c1 * t + c2 * t * t
+    data = {"n": 1, "T": 1.0, "eps": [1e-300], "u0": [0], "A": [[coeffs]], "f": [[0]]}
+    try:
+        alpha = validate(problem_from_dict(data)).alpha
+    except ProblemValidationError as err:
+        assert least <= 0 and err.condition == "row-dominance", (coeffs, float(least))
+        return None
+    assert least > 0, (coeffs, float(least))
+    assert abs(Fraction(alpha) - least) <= least / 10 ** 13, (coeffs, alpha, float(least))
+    return alpha
+
+
+# Near-tangent quadratics, whose least value float Horner loses to
+# cancellation: the first had a wrong rejection, the second an alpha 7x its
+# least value, and the third, whose least value is -7.6e-16, was accepted.
+@pytest.mark.parametrize("coeffs, alpha", [
+    ([0.595434046506415, -1.5432874605936704, 1.0], 2.555e-17),
+    ([66173574.63025145, -162694283.40326092, 1e8], 1.084e-9),
+    ([106.5446990656758, -652.8237099422042, 1000.0], None),
+], ids=["accepted", "alpha", "rejected"])
+def test_near_tangent_rows(coeffs, alpha):
+    result = _assert_exact_verdict(coeffs)
+    assert result is None if alpha is None else result == pytest.approx(alpha, rel=1e-3)
+
+
+@pytest.mark.parametrize("seed, low, high, draws", [(1, -18, -8, 3000), (7, -17, -14, 4000)],
+                         ids=["U(-18,-8)", "U(-17,-14)"])
+def test_near_tangent_families_are_decided_exactly(seed, low, high, draws):
+    # a(t) = k (t - b)^2 + d built in floats, with b in (0.05, 0.95) and
+    # d = +-k 10^U: its least value, near d at t = b, is of the order of the
+    # rounding of its coefficients
+    rng = random.Random(seed)
+    for _ in range(draws):
+        b = rng.uniform(0.05, 0.95)
+        k = rng.choice([1, 3, 1e3, 1e8])
+        d = rng.choice([1, -1]) * k * 10 ** rng.uniform(low, high)
+        _assert_exact_verdict([k * b * b + d, -2 * k * b, k])
+
+
+def test_alpha_below_the_least_double_fails_the_horizon():
+    # a(t) = 2^-1074 (49 - 37 t + 7 t^2) is positive on [0, 20]; its least
+    # value, 3/28 2^-1074 at t = 37/14, rounds to alpha = 0
+    u = math.ulp(0.0)
+    spec = problem_from_dict({"n": 1, "T": 20.0, "eps": [u], "u0": [0],
+                              "A": [[[49 * u, -37 * u, 7 * u]]], "f": [0]})
+    with pytest.raises(ProblemValidationError) as err:
+        validate(spec)
+    assert err.value.condition == "horizon"
+    assert "2*max(eps)/alpha=inf" in str(err.value)
 
 
 def test_short_horizon_rejected():

@@ -2,6 +2,7 @@
 
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -137,6 +138,47 @@ def test_march_matches_per_step_solves_at_random_sizes():
             reference = _per_step_march(vp, mesh, spec.u0)
             scale = max(1.0, np.abs(reference).max())
             assert np.abs(values - reference).max() <= 1e-12 * scale, (N, problem.f)
+
+
+# The bound on the distance of a march from the exact backward-Euler march
+# (cases.exact_march), relative to the grid's largest value; marches were
+# measured within 1.6e-15 of it.
+EXACT_MARCH_RTOL = 1e-14
+
+
+def _exact_gap(grid, lo, hi):
+    # max |U_j - exact U_j| over j = lo .. hi, marched exactly from U_lo, and
+    # the bound on it
+    exact = cases.exact_march(grid.problem.spec, grid.mesh, grid.values[lo], lo, hi)
+    gap = max(abs(Fraction(float(v)) - e)
+              for row, exact_row in zip(grid.values[lo:hi + 1], exact)
+              for v, e in zip(row, exact_row))
+    return float(gap), EXACT_MARCH_RTOL * float(np.abs(grid.values).max())
+
+
+# cases.suite() holds both problems/ files as they stand
+@pytest.mark.parametrize("name,spec", cases.suite())
+@pytest.mark.parametrize("N", SUITE_N)
+def test_march_and_parts_match_exact_backward_euler(name, spec, N):
+    vp = validate(spec)
+    mesh = build_mesh(vp, N)
+    parts = decompose(vp, mesh)
+    for grid in (march(vp, mesh, spec.u0), parts.smooth, parts.singular):
+        gap, bound = _exact_gap(grid, 0, N)
+        assert gap <= bound, (gap, bound)
+
+
+@pytest.mark.parametrize("name,spec", cases.suite())
+@pytest.mark.parametrize("N", SEAM_N[1:])
+def test_march_matches_exact_backward_euler_at_chunk_seams(name, spec, N):
+    # 16 steps on each side of every seam between chunks of C steps (see
+    # SEAM_N); the last chunk of 4104 has 8 steps
+    grid = solve(validate(spec), N)
+    C = max(2048, -(-N // 8))
+    for seam in range(C, N, C):
+        for lo, hi in ((seam - 16, seam), (seam, min(seam + 16, N))):
+            gap, bound = _exact_gap(grid, lo, hi)
+            assert gap <= bound, (seam, lo, gap, bound)
 
 
 @pytest.mark.parametrize("N", [8, 92, 1024, 8192])
