@@ -7,11 +7,12 @@ one parameter choice (converge) or across a parameter grid (sweep).
 Exit codes: 0 ok, 1 solve certificate failure, 2 unreadable (also missing)
 or malformed input or a mesh too large for memory, 3 problem validation
 failure, 4 mesh construction failure, 5 requested convergence band not met,
-6 numerical failure (a step's residual was not finite or failed the fixed
-1e-12 backward-error guard, a study's error was not finite, a closed-form
-propagator left its bounds, the closed form's generator -t E^-1 A, the
-smooth part's initial value A(0)^-1 f(0) or the stability certificate's
-bound overflowed, or numpy's linear algebra reported a singular matrix).
+6 numerical failure (a step's value overflowed, a step's residual was not
+finite or failed the fixed 1e-12 backward-error guard, a study's error was
+not finite, a closed-form propagator left its bounds, the closed form's
+generator -t E^-1 A, the smooth part's initial value A(0)^-1 f(0) or the
+stability certificate's bound overflowed, or numpy's linear algebra
+reported a singular matrix).
 numpy's floating-point warnings are silenced, since each of those failures
 has its exit code. Text and CSV output write numbers with 17 significant
 digits, and --json output with Python's shortest round-trip repr (2.0, not
@@ -20,10 +21,9 @@ exactly. Output is written block by block as it is formatted; if the reader
 closes stdout early (as `| head` does), the rest is dropped without a
 message and the command returns the exit code it would have returned.
 
-validate needs only the problem module, which loads no numpy unless an
-entry has degree 3 or more. Every other subcommand imports what it runs
-when it runs, from the module that defines it, so a wrapper or test double
-set on that module sees every call.
+validate needs only the problem module, which loads no numpy. Every other
+subcommand imports what it runs when it runs, from the module that defines
+it, so a wrapper or test double set on that module sees every call.
 """
 
 from __future__ import annotations
@@ -340,8 +340,7 @@ def main(argv=None):
         return EXIT_PARSE
     except (RuntimeError, ValueError) as exc:
         # MeshError, SolveFailureError and LinAlgError come from numpy-backed
-        # modules, imported on the way out. validate raises LinAlgError too,
-        # where eigvals fails to converge.
+        # modules, imported on the way out
         from numpy.linalg import LinAlgError
 
         from .mesh import MeshError

@@ -77,7 +77,7 @@ def build_mesh(vp, N):
     halving branch (ties count as halving), b_i = 1 the layer-width branch.
     The n+1 uniform pieces get N/2^n, N/2^(n-i+1) (i = 1 .. n-1) and N/2
     intervals. N must be a multiple of 2^n; anything else raises MeshError,
-    as does a first piece too narrow for its intervals to be told apart.
+    as does a piece too narrow for its intervals to be told apart.
     """
     eps, alpha, T = vp.spec.eps, vp.alpha, vp.spec.T
     n = len(eps)
@@ -97,19 +97,24 @@ def build_mesh(vp, N):
             bits[i] = 1
         upper = sigmas[i]
     counts = [N // 2 ** n] + [N // 2 ** (n - i + 1) for i in range(1, n)] + [N // 2]
-    # The first piece has the least width per interval. Below one least
-    # double per interval no mesh can hold its points apart.
-    if sigmas[0] < counts[0] * math.ulp(0.0):
-        raise MeshError(
-            "the first piece [0, sigma_1] is %r wide, too narrow for %d intervals: "
-            "their width underflows" % (sigmas[0], counts[0])
-        )
     bounds = (0.0, *sigmas, T)
     pieces = [
         np.linspace(bounds[k], bounds[k + 1], counts[k] + 1) for k in range(n + 1)
     ]
     points = np.concatenate([pieces[0]] + [piece[1:] for piece in pieces[1:]])
     deltas = np.diff(points)
+    # Where a piece's width per interval is subnormal, linspace rounds its
+    # step, to 0 or up so that its points overrun the piece's end.
+    repeated = np.flatnonzero(deltas <= 0.0)
+    if repeated.size:
+        k = int(np.searchsorted(np.cumsum(counts), repeated[0], side="right"))
+        names = ["0"] + ["sigma_%d" % (i + 1) for i in range(n)] + ["T"]
+        raise MeshError(
+            "the %spiece [%s, %s] is %r wide, too narrow for %d intervals: "
+            "their width underflows"
+            % ("first " if k == 0 else "", names[k], names[k + 1],
+               bounds[k + 1] - bounds[k], counts[k])
+        )
     points.setflags(write=False)
     deltas.setflags(write=False)
     mesh = ShishkinMesh(N=N, points=points, deltas=deltas, sigmas=tuple(sigmas),

@@ -1,16 +1,15 @@
 """Problem data for stiff linear systems E u' + A(t) u = f(t) on [0, T].
 
 Matrix and forcing entries are polynomials in t, held as tuples of ascending
-coefficients and evaluated by one Horner rule (_polyval): in floats on
-arrays of times by sample_A and sample_f, exactly on single times by
-validate. Each extremum on [0, T] sits at an endpoint or at a root of the
-derivative. Validation establishes the sign and dominance structure of A(t)
-that the stepping operator's monotonicity relies on, and extracts the decay
-rate alpha, the least row sum, used to place mesh transition points.
+coefficients. sample_A and sample_f evaluate them in floats on arrays of
+times by one Horner rule (_polyval); validate evaluates them exactly, by
+Horner's rule in integers (_value). Each extremum on [0, T] sits at an
+endpoint or at a root of the derivative. Validation establishes the sign
+and dominance structure of A(t) that the stepping operator's monotonicity
+relies on, and extracts the decay rate alpha, the least row sum, used to
+place mesh transition points.
 
-This module imports numpy only inside the functions that need it: the
-samplers, and validate where a derivative, at one scale of its roots, is a
-quadratic or more (_critical_times). Entries of degree 2 or less need none.
+This module imports numpy only inside the samplers; validate needs none.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import struct
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -213,7 +213,7 @@ class ValidatedProblem:
 def _polyval(coeffs, t):
     """The polynomial with ascending coeffs at t, by Horner's rule written as
     numpy.polynomial's polyval writes it, so the two agree bit for bit on
-    floats and arrays of times; on Fractions it is exact."""
+    floats and arrays of times."""
     acc = coeffs[-1] + 0 * t
     for c in coeffs[-2::-1]:
         acc = acc * t + c
@@ -252,58 +252,61 @@ def sample_f(spec, ts):
     return _sample(spec, spec.f, ts)
 
 
-def _critical_times(coeffs, T):
-    """Real parts of the roots of a polynomial's derivative, clipped to
-    [0, T]. With both endpoints they include every point where the
-    polynomial attains its extrema on [0, T]; extra points are harmless.
+def _integers(polys):
+    """The sum of polys, whose coefficients are doubles (integers over powers
+    of two), exactly: (integer ascending coefficients, one denominator)."""
+    ratios = [[c.as_integer_ratio() for c in p] for p in polys]
+    den = max(q for p in ratios for _, q in p)
+    terms = ([m * (den // q) for m, q in p] for p in ratios)
+    return [sum(col) for col in zip_longest(*terms, fillvalue=0)], den
 
-    The roots are found one magnitude scale at a time, so that none is lost
-    beside much larger ones. coeffs are exact rationals with power-of-two
-    denominators, so each d_k = (k+1) c_(k+1) is exact, with a binary
-    exponent e, |d_k| in [2^(e-1), 2^e), however large it is. The upper
-    hull of the points (k, e) is d's Newton polygon; an edge of slope sigma
-    carries the roots of magnitude near 2^-sigma. For each edge, with s its
-    -sigma rounded to a multiple of 32, the roots come from the polynomial
-    in tau = t / 2^s: coefficients d_k 2^(ks), scaled by one power of two so
-    that the largest lies in [1/2, 1), each rounded once to a double.
-    Leading terms that stay below 2^-52 of the largest all over |tau| <=
-    2^20, around the edge's roots, are dropped, so no ratio of two
-    coefficients overflows. A line has the root -g0/g1, polyroots' own
-    formula; higher degrees take polyroots' companion eigenvalues. Each root
-    is clipped to [0, T] before it is scaled back by 2^s, so nothing
-    overflows. Where every slope rounds to 0 nothing is dropped, and the one
-    pass finds d's roots as polyroots finds them.
+
+def _value(a, t, den=0):
+    """The polynomial with integer ascending coefficients a, of degree d, at
+    the double t = m / 2^e by Horner's rule in integers: over den, exactly,
+    as one Fraction (one gcd); without den, as 2^(e d) times its value."""
+    m, q = t.as_integer_ratio()
+    e = q.bit_length() - 1
+    acc = 0
+    for k, c in enumerate(reversed(a)):
+        acc = acc * m + (c << e * k)
+    return Fraction(acc, den << e * (len(a) - 1)) if den else acc
+
+
+def _critical_times(a, T):
+    """Times in [0, T] that, with 0 and T, hold every extremum there of the
+    polynomial with integer ascending coefficients a, to within the spacing
+    of doubles: each sign change of its derivative d as the two adjacent
+    doubles around it, or as the double where d is exactly 0.
+
+    The derivative-sequence method of Collins and Loos (1976): between
+    consecutive critical times of d, found by the same recursion, d is
+    monotone, so one exact sign test per piece finds each of its sign
+    changes. Nonnegative doubles sort as their bit patterns do, so a
+    bisection over those patterns narrows one to two adjacent doubles in at
+    most 63 steps. The recursion stops at a line, whose root is rounded
+    once and taken with both its neighbours.
     """
-    d = [k * c for k, c in enumerate(coeffs[1:], 1)]
-    points = [(k, abs(c.numerator).bit_length() - c.denominator.bit_length() + 1)
-              for k, c in enumerate(d) if c]
-    hull = []
-    for k, e in points:
-        # a point on or below the chord from its neighbours leaves the hull
-        while len(hull) > 1 and ((hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])
-                                 <= (e - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
-            hull.pop()
-        hull.append((k, e))
-    scales = {-32 * round((e1 - e0) / (32 * (k1 - k0)))
-              for (k0, e0), (k1, e1) in zip(hull, hull[1:])}
-    times = []
-    for s in scales:
-        # exponents at |tau| = 2^20; the last term at most 53 below their top
-        reach = max(e + k * (s + 20) for k, e in points) - 53
-        lead = max(k for k, e in points if e + k * (s + 20) >= reach)
-        top = max(e + k * s for k, e in points)
-        g = [float(c * Fraction(2) ** (k * s - top)) for k, c in enumerate(d[:lead + 1])]
-        if len(g) == 2:
-            roots = [-g[0] / g[1]]
-        else:
-            import numpy as np
-            from numpy.polynomial import polynomial as npoly
-
-            with np.errstate(all="ignore"):
-                roots = npoly.polyroots(g).real.tolist()
-        # 2^s overflows only for s > 0, where T / 2^s does not
-        bound = math.ldexp(T, -s) if s > 0 else math.inf
-        times += [min(math.ldexp(min(max(r, 0.0), bound), s), T) for r in roots]
+    d = [k * c for k, c in enumerate(a[1:], 1)]
+    while d and not d[-1]:
+        d.pop()
+    if len(d) < 2:
+        return []
+    if len(d) == 2:
+        r = _float(Fraction(-d[0], d[1]))
+        return [min(max(0.0, x), T)
+                for x in (math.nextafter(r, -math.inf), r, math.nextafter(r, math.inf))]
+    cuts = sorted({0.0, T, *_critical_times(d, T)})
+    values = [_value(d, x) for x in cuts]
+    times = [x for x, v in zip(cuts, values) if not v]
+    for lo, hi, v, v_hi in zip(cuts, cuts[1:], values, values[1:]):
+        if v * v_hi < 0:
+            i, j = struct.unpack("<2q", struct.pack("<2d", lo, hi))
+            while j - i > 1:
+                k = (i + j) // 2
+                v_k = _value(d, struct.unpack("<d", struct.pack("<q", k))[0])
+                i, j = (k, k) if not v_k else (k, j) if (v_k < 0) == (v < 0) else (i, k)
+            times += struct.unpack("<2d", struct.pack("<2q", i, j))
     return times
 
 
@@ -321,27 +324,24 @@ def validate(spec):
     positive on the whole interval, takes alpha as the least row sum, and
     checks that the horizon covers the slowest layer
     (T >= 2 max(eps) / alpha). Each off-diagonal entry and each row sum is
-    a polynomial, evaluated at both endpoints and at every critical point
-    of any of them; those times hold every extremum the checks need, as
-    the critical points are found scale by scale (_critical_times), each
-    to within rounding. The entries are carried as exact rationals (every
-    double is one), so a row sum's coefficients add up exactly, where
-    entries cancel or overflow in double too, and every value at those
-    times is exact: each sign is decided without rounding, and only alpha
-    and the numbers in messages are rounded to doubles, once. Under the
-    sign condition a row sum equals a_ii - sum_{j != i} |a_ij|, so a
-    positive row sum is strict row dominance. A violation reports the
-    earliest of those times at which it shows.
+    a polynomial in integers over one power-of-two denominator (_integers),
+    so a row sum adds up exactly, where entries cancel or overflow in
+    double too. Each is evaluated at both endpoints and at every critical
+    time of any of them (_critical_times), which hold every extremum the
+    checks need to within the spacing of doubles. Every value there is
+    exact: each sign is decided without rounding, and only alpha and the
+    numbers in messages are rounded to doubles, once. Under the sign
+    condition a row sum equals a_ii - sum_{j != i} |a_ij|, so a positive
+    row sum is strict row dominance. A violation reports the earliest of
+    those times at which it shows.
     """
     pairs = [(i, j) for i in range(spec.n) for j in range(spec.n) if i != j]
-    A = [[tuple(map(Fraction, p)) for p in row] for row in spec.A]
-    off_entries = [A[i][j] for i, j in pairs]
-    row_sums = [tuple(map(sum, zip_longest(*row, fillvalue=0))) for row in A]
-    ts = _extremum_times(off_entries + row_sums, spec.T)
-    xs = list(map(Fraction, ts))
-    for t, x in zip(ts, xs):
-        for (i, j), c in zip(pairs, off_entries):
-            value = _polyval(c, x)
+    off_entries = [_integers([spec.A[i][j]]) for i, j in pairs]
+    row_sums = [_integers(row) for row in spec.A]
+    ts = _extremum_times([a for a, _ in off_entries + row_sums], spec.T)
+    for t in ts:
+        for (i, j), (a, den) in zip(pairs, off_entries):
+            value = _value(a, t, den)
             if value > 0:
                 raise ProblemValidationError(
                     "off-diagonal-sign",
@@ -351,7 +351,7 @@ def validate(spec):
                     col=j + 1,
                     t=t,
                 )
-    sums = [[_polyval(c, x) for c in row_sums] for x in xs]
+    sums = [[_value(a, t, den) for a, den in row_sums] for t in ts]
     for t, row in zip(ts, sums):
         for i, value in enumerate(row):
             if value <= 0:

@@ -139,7 +139,8 @@ def march(vp, mesh, u_init):
     b_j = diag(eps)/delta_j U_{j-1} + f(t_j), a bound on the normwise
     backward error of each solve; the first step that fails it or has a
     non-finite residual raises SolveFailureError, before any later chunk is
-    marched. The tolerance is the module constant, read at call time.
+    marched, and a non-finite U_j is named as an overflow. The tolerance is
+    the module constant, read at call time.
 
     Parameters
     ----------
@@ -231,10 +232,14 @@ def _march_chunk(vp, mesh, lo, hi, values):
     residual = _max_norms(residual)
     tol = STEP_RESIDUAL_RTOL * (1.0 + _max_norms(b) + m_norms * _max_norms(out[1:]))
     # A non-finite U_j or b_j gives a non-finite residual, which fails even
-    # where the tolerance is infinite too; so does a nan tolerance.
+    # where the tolerance is infinite too; so does a nan tolerance. The data
+    # are finite, so a non-finite U_j is an overflow, and is named as one.
     failed = np.flatnonzero(~(np.isfinite(residual) & (residual <= tol)))
     if failed.size:
         j = int(failed[0])
+        if not np.isfinite(out[j + 1]).all():
+            raise SolveFailureError(
+                "step %d solution is not finite: U_j overflows double range" % (lo + j + 1))
         raise SolveFailureError(
             "step %d solve residual %.3e exceeds tolerance" % (lo + j + 1, residual[j])
         )

@@ -117,10 +117,12 @@ def test_mesh_csv_round_trips_points(tmp_path, capsys):
 
 
 def test_broken_mesh_geometry_exits_4(tmp_path, capsys):
-    # the problem of test_mesh::test_geometry_guard_rejects_repeated_points
+    # the problem of test_mesh::test_subnormal_piece_whose_step_rounds_up_is_named[first]
     path = _write_problem(tmp_path, cases.constant_two_scale(eps=(6e-323, 1.0)))
     assert main(["mesh", "--problem", path, "--N", "64"]) == EXIT_MESH
-    assert capsys.readouterr() == ("", "mesh error: mesh points are not strictly increasing\n")
+    assert capsys.readouterr() == ("", "mesh error: the first piece [0, sigma_1] is 1.24e-322 "
+                                       "wide, too narrow for 16 intervals: their width "
+                                       "underflows\n")
 
 
 @pytest.mark.parametrize("args", [
@@ -349,14 +351,18 @@ def _command_imports(args):
 
 
 # a(t) = 2 - 2^-599 t + t^2 has its minimum 2 at t = 2^-600: its derivative's
-# two coefficients are 2^600 apart, so that line's root has a scale of its own
+# two coefficients are 2^600 apart
 NARROW_LINE = {"n": 1, "T": 1.0, "eps": [0.01], "u0": [0.0],
                "A": [[[2.0, -2.0 ** -599, 1.0]]], "f": [1.0]}
+# a(t) = 2 + t^14 (1 - t)^2 on [0, 1], least at t = 0 and t = 1: a degree-16
+# entry whose derivative has the roots 0, 7/8 and 1
+DEGREE_16 = {"n": 1, "T": 1.0, "eps": [0.01], "u0": [0.0],
+             "A": [[[2.0] + [0.0] * 13 + [1.0, -2.0, 1.0]]], "f": [1.0]}
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
-@pytest.mark.parametrize("problem", PROBLEMS + [NARROW_LINE],
-                         ids=lambda p: getattr(p, "stem", "narrow_line"))
+@pytest.mark.parametrize("problem", PROBLEMS + [NARROW_LINE, DEGREE_16],
+                         ids=[p.stem for p in PROBLEMS] + ["narrow_line", "degree_16"])
 def test_validate_runs_without_numpy(problem, flags, tmp_path):
     if isinstance(problem, dict):
         path = tmp_path / "problem.json"
@@ -394,15 +400,14 @@ def test_closed_stdout_ends_the_output_quietly():
     assert (proc.returncode, err) == (EXIT_OK, b"")
 
 
-def test_validate_finds_cubic_extrema_with_numpy(tmp_path):
-    # the derivative of 3 - t^2 + t^3 is a quadratic: its roots are numpy's
-    # eigenvalues; the first row sum 2 - t^2 + t^3 is smallest, 50/27, at
-    # t = 2/3
+def test_validate_finds_cubic_extrema_without_numpy(tmp_path):
+    # the derivative of 3 - t^2 + t^3 is a quadratic; the first row sum
+    # 2 - t^2 + t^3 is smallest, 50/27, at t = 2/3
     spec = cases.constant_two_scale()
     path = _write_problem(tmp_path, spec, A=[[[3, 0, -1, 1], [-1]], [[-1], [3]]])
     code = ("from layerode.cli import main; assert main(['validate', '--problem', %r]) == 0"
             % path)
-    assert "numpy" in _modules_after(code)
+    assert "numpy" not in _modules_after(code)
     assert validate(load_problem(path)).alpha == pytest.approx(50 / 27, rel=1e-14)
 
 
@@ -443,15 +448,32 @@ OVERFLOWING_REDUCED_VALUE = {"n": 1, "T": 2e10, "eps": [1.0], "u0": [0],
                              "A": [[[1e-10, 1.0]]], "f": [1e300]}
 OVERFLOWING_STABILITY_BOUND = {"n": 1, "T": 1.0, "eps": [1e-210], "u0": [0],
                                "A": [[[1e-200, 1.0]]], "f": [1e200]}
+# u tends to f / A = 3.4e308, beyond double range
+OVERFLOWING_SOLUTION = {"n": 1, "T": 1.0, "eps": [0.001], "u0": [0.0], "A": [[0.5]],
+                        "f": [1.7e308]}
+# draw 76 of the contract test's seed 6: each map P_j = M_j^-1 eps/delta_j
+# underflows to 0, while P_j U_(j-1) would not, so step 5's residual fails
+# although a step-by-step solve passes the guard
+UNDERFLOWING_MAP = {
+    "n": 1, "T": 1.6394248392071187, "eps": [3.80656377151588e-188],
+    "u0": [-1.138607658337869e+227],
+    "A": [[[7.148285955581805, 7.668161780187622, 4.4209012049772354e+279,
+            0.1840428248930749, 4.298513491459002e-151, 0.20033617732861467,
+            3.0047116884464646]]],
+    "f": [[1.9158692333445774e-195, 3.2480323467598127, 2.2936597626451444e+34,
+           5.846933485950721e+30, 0.5298413907738992, 4.4171305727585235,
+           2.1880963418932082, 0.4749455824748503, 0.20665269124889687,
+           0.6296507246126398, 0.43953259609012435]]}
 
 # (problem file data, arguments after --problem FILE, exit code, the one
 # stderr line); numpy warns while computing each, and none of that may
 # reach stderr. The second problem is admissible (its first row sum is
 # exactly 2), but its entries of order 1e308 t^2 overflow in the step
-# matrices; the first step whose residual is nan fails. The last three are
-# admissible and solve, but 1e10 / 1e-300 overflows the closed form's
-# generator -t E^-1 A, A(0)^-1 f(0) = 1e310 overflows the smooth part's
-# initial value, and |f| / alpha = 1e400 the stability certificate's bound.
+# matrices, and the first step whose value is not finite fails. The next
+# three are admissible and solve, but 1e10 / 1e-300 overflows the closed
+# form's generator -t E^-1 A, A(0)^-1 f(0) = 1e310 overflows the smooth
+# part's initial value, and |f| / alpha = 1e400 the stability certificate's
+# bound. The last two are the march's own causes of exit 6.
 NON_FINITE_CASES = [
     ({**asdict(cases.constant_two_scale()), "u0": [1e308, 1e308]},
      ["solve", "--N", "16"], EXIT_NUMERICAL,
@@ -459,7 +481,7 @@ NON_FINITE_CASES = [
     ({"n": 2, "T": 10.0, "eps": [0.0001, 0.01], "u0": [0, 0],
       "A": [[[3, 0, 1e308], [-1, 0, -1e308]], [-1, 3]], "f": [2, 2]},
      ["solve", "--N", "16"], EXIT_NUMERICAL,
-     "numerical error: step 10 solve residual nan exceeds tolerance\n"),
+     "numerical error: step 10 solution is not finite: U_j overflows double range\n"),
     (OVERFLOWING_GENERATOR, ["converge", "--mode", "exact", "--N", "128,256"],
      EXIT_NUMERICAL,
      "numerical error: closed-form generator -t E^-1 A is not finite (row norm nan)\n"),
@@ -467,13 +489,18 @@ NON_FINITE_CASES = [
      "numerical error: reduced initial value A(0)^-1 f(0) is not finite\n"),
     (OVERFLOWING_STABILITY_BOUND, ["solve", "--N", "16", "--certify"], EXIT_NUMERICAL,
      "numerical error: stability bound max(|U(0)|, |f| / alpha) is not finite\n"),
+    (OVERFLOWING_SOLUTION, ["solve", "--N", "8"], EXIT_NUMERICAL,
+     "numerical error: step 2 solution is not finite: U_j overflows double range\n"),
+    (UNDERFLOWING_MAP, ["solve", "--N", "8"], EXIT_NUMERICAL,
+     "numerical error: step 5 solve residual 1.982e+39 exceeds tolerance\n"),
 ]
 
 
 @pytest.mark.parametrize("data,args,code,err", NON_FINITE_CASES,
                          ids=["overflowing_u0", "overflowing_A",
                               "overflowing_generator", "overflowing_reduced_value",
-                              "overflowing_stability_bound"])
+                              "overflowing_stability_bound", "overflowing_solution",
+                              "underflowing_map"])
 def test_non_finite_values_fail_closed(tmp_path, capsys, data, args, code, err):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -743,25 +770,30 @@ def test_wide_polynomial_validates(tmp_path, capsys):
     assert capsys.readouterr().out == "alpha = 1\n"
 
 
-# Row sums a(t) on [0, T] that dip below 0 many orders of magnitude away
-# from their other critical points, with the range of the reported time: at
-# t ~ 1.83e-65 the first is -1.2e44; the second is negative on (7.2, 1.5e44)
-# and shows it at the real part of a complex critical point. In the last
-# two, row 1's sum 3 - 3.4e308 t + t^2 (+ t^3) has a t coefficient beyond
-# double range where its entries are added up as they stand; it turns
-# negative near t = 1e-308 and shows it at T = 1, where it overflows. The
-# cubic's derivative goes through polyroots.
+# Row sums a(t) on [0, T] that dip below 0 far from their other critical
+# points, or between two close ones, with the range of the reported time:
+# at t ~ 1.83e-65 the first is -1.2e44; the second is negative on
+# (7.2, 1.5e44) and least near t = 1.35e44. In the next two, row 1's sum
+# 3 - 3.4e308 t + t^2 (+ t^3) has a t coefficient beyond double range where
+# its entries are added up as they stand; it turns negative near t = 1e-308
+# and shows it at T = 1, where it overflows. The last is
+# (t - 1/2)^4 - 2e-14 (t - 1/2)^2 to within rounding: two minima of -1e-28
+# at t = 1/2 -+ 1e-7 beside a maximum at 1/2, which float root finders
+# merge.
 OVERFLOWING_ROW = [[-1.0, -1.7e308], [-1.0, -1.7e308]]
 NARROW_MINIMA = [
     ([[[1.0, -1e109, 0, 1e238] + [0] * 7 + [1.0]]], 1.0, (1.8e-65, 1.9e-65)),
-    ([[[1.0, 0, 4.8e300, 0, 0, 0, -1.8e297] + [0] * 6 + [1e-12]]], 1e200, (8.4e43, 8.5e43)),
+    ([[[1.0, 0, 4.8e300, 0, 0, 0, -1.8e297] + [0] * 6 + [1e-12]]], 1e200, (1.3e44, 1.4e44)),
     ([[[5.0, 0, 1.0]] + OVERFLOWING_ROW, [0, 1.0, 0], [0, 0, 1.0]], 1.0, (0.5, 1.5)),
     ([[[5.0, 0, 1.0, 1.0]] + OVERFLOWING_ROW, [0, 1.0, 0], [0, 0, 1.0]], 1.0, (0.5, 1.5)),
+    ([[[0.062499999999995004, -0.49999999999998, 1.49999999999998, -2.0, 1.0]]], 1.0,
+     (0.4999998, 0.5)),
 ]
 
 
 @pytest.mark.parametrize("A, T, window", NARROW_MINIMA,
-                         ids=["tiny", "huge", "overflow_quadratic", "overflow_cubic"])
+                         ids=["tiny", "huge", "overflow_quadratic", "overflow_cubic",
+                              "tangent_pair"])
 def test_narrow_minimum_is_rejected(A, T, window, tmp_path, capsys):
     n = len(A)
     data = {"n": n, "T": T, "eps": [0.01, 0.02, 0.03][:n], "u0": [0.0] * n, "A": A,
@@ -770,6 +802,8 @@ def test_narrow_minimum_is_rejected(A, T, window, tmp_path, capsys):
         validate(problem_from_dict(data))
     assert (info.value.condition, info.value.row) == ("row-dominance", 1)
     assert window[0] < info.value.t < window[1]
+    row_sum = [sum(map(Fraction, col)) for col in zip_longest(*A[0], fillvalue=0.0)]
+    assert not _positive_at(row_sum, info.value.t)
     assert _assert_contract(tmp_path / "problem.json", data, capsys) == [EXIT_VALIDATION]
 
 

@@ -8,6 +8,8 @@ import pytest
 import cases
 from layerode.mesh import (
     MeshError,
+    ShishkinMesh,
+    _verify_geometry,
     bisect_mesh,
     build_mesh,
     interaction_points,
@@ -61,13 +63,14 @@ def test_unusable_n_rejected():
 
 
 def test_geometry_guard_rejects_repeated_points():
-    # eps_1 = 6e-323 (12 least doubles) validates, and its first piece is 25
-    # least doubles wide: room for 16 intervals, but linspace rounds their
-    # width up to 2, so the points of the piece overrun its end
-    vp = validate(cases.constant_two_scale(eps=(6e-323, 1.0)))
-    assert vp.alpha == 2.0
+    # build_mesh names a piece whose points repeat before this guard runs,
+    # so the guard's own check is fed a hand-built mesh
+    vp = validate(cases.constant_two_scale())
+    points = np.array([0.0, 0.25, 0.25, 0.5, 1.0])
+    mesh = ShishkinMesh(N=4, points=points, deltas=np.diff(points), sigmas=(0.25, 0.5),
+                        b=(0, 0))
     with pytest.raises(MeshError, match="^mesh points are not strictly increasing$"):
-        build_mesh(vp, 64)
+        _verify_geometry(mesh, vp, [1, 1, 2])
 
 
 def test_underflowing_first_piece_named():
@@ -78,6 +81,30 @@ def test_underflowing_first_piece_named():
                "their width underflows$")
     with pytest.raises(MeshError, match=message):
         build_mesh(vp, 64)
+
+
+@pytest.mark.parametrize("eps, message", [
+    # the first piece is 25 least doubles wide: room for 16 intervals, but
+    # linspace rounds their width up to 2, so the piece's points overrun it
+    ((6e-323, 1.0), r"^the first piece \[0, sigma_1\] is 1.24e-322 wide, too narrow "
+                    "for 16 intervals: their width underflows$"),
+    ((3.5e-323, 9.4e-323), r"^the piece \[sigma_1, sigma_2\] is 1.24e-322 wide, too "
+                           "narrow for 16 intervals: their width underflows$"),
+], ids=["first", "second"])
+def test_subnormal_piece_whose_step_rounds_up_is_named(eps, message):
+    vp = validate(cases.constant_two_scale(eps=eps))
+    with pytest.raises(MeshError, match=message):
+        build_mesh(vp, 64)
+
+
+def test_subnormal_first_pieces_never_reach_the_geometry_guard():
+    # eps_1 = k 2^-1074: each mesh builds or names its first piece
+    for k in range(1, 80):
+        vp = validate(cases.constant_two_scale(eps=(k * 5e-324, 1.0)))
+        try:
+            build_mesh(vp, 64)
+        except MeshError as exc:
+            assert str(exc).startswith("the first piece [0, sigma_1] is "), k
 
 
 def test_build_mesh_uses_extracted_alpha():

@@ -269,7 +269,7 @@ def test_non_finite_forcing_in_a_later_chunk_names_its_step(monkeypatch):
         return f
 
     monkeypatch.setattr("layerode.solver.sample_f", poisoned)
-    with pytest.raises(SolveFailureError, match=r"^step 2148 solve residual nan"):
+    with pytest.raises(SolveFailureError, match=r"^step 2148 solution is not finite"):
         march(vp, mesh, vp.spec.u0)
 
 
