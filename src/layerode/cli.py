@@ -7,11 +7,12 @@ one parameter choice (converge) or across a parameter grid (sweep).
 Exit codes: 0 ok, 1 solve certificate failure, 2 unreadable (also missing)
 or malformed input or a mesh too large for memory, 3 problem validation
 failure, 4 mesh construction failure, 5 requested convergence band not met,
-6 numerical failure (a step's value overflowed, a step's residual was not
-finite or failed the fixed 1e-12 backward-error guard, a study's error was
-not finite, a closed-form propagator left its bounds, the closed form's
-generator -t E^-1 A, the smooth part's initial value A(0)^-1 f(0) or the
-stability certificate's bound overflowed, or numpy's linear algebra
+6 numerical failure (a step's value U_j, right-hand side b_j, matrix M_j
+or product M_j U_j overflowed, which the message names, a step's residual
+was not finite or failed the fixed 1e-12 backward-error guard, a study's
+error was not finite, a closed-form propagator left its bounds, the closed
+form's generator -t E^-1 A, the smooth part's initial value A(0)^-1 f(0)
+or the stability certificate's bound overflowed, or numpy's linear algebra
 reported a singular matrix).
 numpy's floating-point warnings are silenced, since each of those failures
 has its exit code. Text and CSV output write numbers with 17 significant

@@ -9,7 +9,8 @@ and dominance structure of A(t) that the stepping operator's monotonicity
 relies on, and extracts the decay rate alpha, the least row sum, used to
 place mesh transition points.
 
-This module imports numpy only inside the samplers; validate needs none.
+This module imports numpy only inside the samplers; validate needs neither
+numpy nor fractions.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numbers
 import struct
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from itertools import zip_longest
 
 __all__ = [
@@ -64,20 +64,22 @@ class ProblemValidationError(ValueError):
         super().__init__(message)
 
 
-def _float(value):
-    # value, an integer or a fraction too, as a double; beyond double range
-    # +-inf, as 1e400 in a file reads, with the sign compared exactly
+def _float(num, den=1):
+    # num / den (den > 0) by one correctly rounded integer division; beyond
+    # double range +-inf, as 1e400 in a file reads, signed as num exactly
     try:
-        return float(value)
+        return num / den
     except OverflowError:
-        return math.inf if value > 0 else -math.inf
+        return math.inf if num > 0 else -math.inf
 
 
 def _number(value, what):
     # Any real number but a bool (JSON true/false, which float() reads as 1/0).
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ProblemFormatError(f"{what} must be a number, got {value!r}")
-    return _float(value)
+    if isinstance(value, numbers.Rational):  # one beyond double range is +-inf
+        return _float(int(value.numerator), int(value.denominator))
+    return float(value)
 
 
 def _finite(value, what):
@@ -261,16 +263,16 @@ def _integers(polys):
     return [sum(col) for col in zip_longest(*terms, fillvalue=0)], den
 
 
-def _value(a, t, den=0):
-    """The polynomial with integer ascending coefficients a, of degree d, at
-    the double t = m / 2^e by Horner's rule in integers: over den, exactly,
-    as one Fraction (one gcd); without den, as 2^(e d) times its value."""
+def _value(a, t, den=1):
+    """The polynomial with integer ascending coefficients a, of degree d, over
+    den at the double t = m / 2^e, exactly, by Horner's rule in integers: as
+    (numerator, den 2^(e d)), so the numerator carries its sign."""
     m, q = t.as_integer_ratio()
     e = q.bit_length() - 1
     acc = 0
     for k, c in enumerate(reversed(a)):
         acc = acc * m + (c << e * k)
-    return Fraction(acc, den << e * (len(a) - 1)) if den else acc
+    return acc, den << e * (len(a) - 1)
 
 
 def _critical_times(a, T):
@@ -284,27 +286,23 @@ def _critical_times(a, T):
     monotone, so one exact sign test per piece finds each of its sign
     changes. Nonnegative doubles sort as their bit patterns do, so a
     bisection over those patterns narrows one to two adjacent doubles in at
-    most 63 steps. The recursion stops at a line, whose root is rounded
-    once and taken with both its neighbours.
+    most 63 steps. The recursion ends at a constant derivative, so a line's
+    root is bisected too.
     """
     d = [k * c for k, c in enumerate(a[1:], 1)]
     while d and not d[-1]:
         d.pop()
     if len(d) < 2:
         return []
-    if len(d) == 2:
-        r = _float(Fraction(-d[0], d[1]))
-        return [min(max(0.0, x), T)
-                for x in (math.nextafter(r, -math.inf), r, math.nextafter(r, math.inf))]
     cuts = sorted({0.0, T, *_critical_times(d, T)})
-    values = [_value(d, x) for x in cuts]
+    values = [_value(d, x)[0] for x in cuts]
     times = [x for x, v in zip(cuts, values) if not v]
     for lo, hi, v, v_hi in zip(cuts, cuts[1:], values, values[1:]):
         if v * v_hi < 0:
             i, j = struct.unpack("<2q", struct.pack("<2d", lo, hi))
             while j - i > 1:
                 k = (i + j) // 2
-                v_k = _value(d, struct.unpack("<d", struct.pack("<q", k))[0])
+                v_k = _value(d, struct.unpack("<d", struct.pack("<q", k))[0])[0]
                 i, j = (k, k) if not v_k else (k, j) if (v_k < 0) == (v < 0) else (i, k)
             times += struct.unpack("<2d", struct.pack("<2q", i, j))
     return times
@@ -328,12 +326,12 @@ def validate(spec):
     so a row sum adds up exactly, where entries cancel or overflow in
     double too. Each is evaluated at both endpoints and at every critical
     time of any of them (_critical_times), which hold every extremum the
-    checks need to within the spacing of doubles. Every value there is
-    exact: each sign is decided without rounding, and only alpha and the
-    numbers in messages are rounded to doubles, once. Under the sign
-    condition a row sum equals a_ii - sum_{j != i} |a_ij|, so a positive
-    row sum is strict row dominance. A violation reports the earliest of
-    those times at which it shows.
+    checks need to within the spacing of doubles. Every value there is an
+    exact quotient of integers whose numerator decides its sign; only alpha
+    and the numbers in messages are rounded to doubles, once (_float).
+    Under the sign condition a row sum equals a_ii - sum_{j != i} |a_ij|,
+    so a positive row sum is strict row dominance. A violation reports the
+    earliest of those times at which it shows.
     """
     pairs = [(i, j) for i in range(spec.n) for j in range(spec.n) if i != j]
     off_entries = [_integers([spec.A[i][j]]) for i, j in pairs]
@@ -342,11 +340,11 @@ def validate(spec):
     for t in ts:
         for (i, j), (a, den) in zip(pairs, off_entries):
             value = _value(a, t, den)
-            if value > 0:
+            if value[0] > 0:
                 raise ProblemValidationError(
                     "off-diagonal-sign",
                     "entry (%d,%d) of the coefficient matrix is positive (%.6g) at t=%.6g"
-                    % (i + 1, j + 1, _float(value), t),
+                    % (i + 1, j + 1, _float(*value), t),
                     row=i + 1,
                     col=j + 1,
                     t=t,
@@ -354,16 +352,17 @@ def validate(spec):
     sums = [[_value(a, t, den) for a, den in row_sums] for t in ts]
     for t, row in zip(ts, sums):
         for i, value in enumerate(row):
-            if value <= 0:
+            if value[0] <= 0:
                 raise ProblemValidationError(
                     "row-dominance",
                     "row %d of the coefficient matrix is not strictly diagonally dominant "
                     "at t=%.6g (row sum, a_ii - sum_j |a_ij|, is %.6g)"
-                    % (i + 1, t, _float(value)),
+                    % (i + 1, t, _float(*value)),
                     row=i + 1,
                     t=t,
                 )
-    alpha = _float(min(map(min, sums)))
+    # rounding is monotone: the least rounded row sum is the least one, rounded
+    alpha = min(_float(*value) for row in sums for value in row)
     # a row sum below half the least double rounds to alpha = 0: no T fits
     needed = 2.0 * spec.eps[-1] / alpha if alpha else math.inf
     if spec.T < needed:

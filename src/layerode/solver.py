@@ -139,7 +139,8 @@ def march(vp, mesh, u_init):
     b_j = diag(eps)/delta_j U_{j-1} + f(t_j), a bound on the normwise
     backward error of each solve; the first step that fails it or has a
     non-finite residual raises SolveFailureError, before any later chunk is
-    marched, and a non-finite U_j is named as an overflow. The tolerance is
+    marched; where the residual is not finite, the first non-finite term of
+    U_j, b_j, M_j and M_j U_j is named as an overflow. The tolerance is
     the module constant, read at call time.
 
     Parameters
@@ -231,15 +232,21 @@ def _march_chunk(vp, mesh, lo, hi, values):
     residual -= b
     residual = _max_norms(residual)
     tol = STEP_RESIDUAL_RTOL * (1.0 + _max_norms(b) + m_norms * _max_norms(out[1:]))
-    # A non-finite U_j or b_j gives a non-finite residual, which fails even
-    # where the tolerance is infinite too; so does a nan tolerance. The data
-    # are finite, so a non-finite U_j is an overflow, and is named as one.
+    # A non-finite U_j, b_j, M_j or M_j U_j gives a non-finite residual,
+    # which fails even where the tolerance is infinite too; so does a nan
+    # tolerance. The data are finite, so a non-finite term is an overflow,
+    # and the first of them is named.
     failed = np.flatnonzero(~(np.isfinite(residual) & (residual <= tol)))
     if failed.size:
         j = int(failed[0])
-        if not np.isfinite(out[j + 1]).all():
-            raise SolveFailureError(
-                "step %d solution is not finite: U_j overflows double range" % (lo + j + 1))
+        terms = [("solution", "U_j", out[j + 1]),
+                 ("right-hand side", "b_j = eps/delta_j U_(j-1) + f(t_j)", b[j]),
+                 ("step matrix", "M_j = diag(eps)/delta_j + A(t_j)", m[j]),
+                 ("product", "M_j U_j", m[j] @ out[j + 1])]
+        for name, term, value in terms:
+            if not np.isfinite(value).all():
+                raise SolveFailureError("step %d %s is not finite: %s overflows double range"
+                                        % (lo + j + 1, name, term))
         raise SolveFailureError(
             "step %d solve residual %.3e exceeds tolerance" % (lo + j + 1, residual[j])
         )

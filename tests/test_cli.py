@@ -360,18 +360,42 @@ DEGREE_16 = {"n": 1, "T": 1.0, "eps": [0.01], "u0": [0.0],
              "A": [[[2.0] + [0.0] * 13 + [1.0, -2.0, 1.0]]], "f": [1.0]}
 
 
+# a(t) = c0 + c1 t + c2 t^2, least near 1.084e-9 at t = -c1 / (2 c2), which
+# is not a double; eps is tiny so that the horizon fits
+NEAR_TANGENT = [66173574.63025145, -162694283.40326092, 1e8]
+NEAR_TANGENT_ROW = {"n": 1, "T": 1.0, "eps": [1e-300], "u0": [0.0],
+                    "A": [[NEAR_TANGENT]], "f": [1.0]}
+
+
+def _least_at_bracketing_doubles(coeffs):
+    # The least value of a(t) = c0 + c1 t + c2 t^2 (c2 > 0) at the two
+    # doubles around its minimiser, when that is not a double, rounded once
+    c0, c1, c2 = map(Fraction, coeffs)
+    root = -c1 / (2 * c2)
+    x = float(root)
+    assert Fraction(x) != root
+    pair = (x, math.nextafter(x, math.inf)) if Fraction(x) < root else (
+        math.nextafter(x, -math.inf), x)
+    return float(min(c0 + c1 * t + c2 * t * t for t in map(Fraction, pair)))
+
+
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
-@pytest.mark.parametrize("problem", PROBLEMS + [NARROW_LINE, DEGREE_16],
-                         ids=[p.stem for p in PROBLEMS] + ["narrow_line", "degree_16"])
-def test_validate_runs_without_numpy(problem, flags, tmp_path):
+@pytest.mark.parametrize("problem, alpha", [(p, 2.0) for p in PROBLEMS] + [
+    (NARROW_LINE, 2.0), (DEGREE_16, 2.0),
+    (NEAR_TANGENT_ROW, _least_at_bracketing_doubles(NEAR_TANGENT)),
+], ids=[p.stem for p in PROBLEMS] + ["narrow_line", "degree_16", "near_tangent"])
+def test_validate_runs_without_numpy(problem, alpha, flags, tmp_path):
     if isinstance(problem, dict):
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(problem), encoding="utf-8")
         problem = path
     out, imported = _command_imports(["validate", "--problem", str(problem)] + flags)
-    assert out.startswith('{"alpha": 2.0' if flags else "alpha = 2")
+    if flags:
+        assert json.loads(out)["alpha"] == alpha
+    else:
+        assert out == "alpha = %s\n" % _fmt(alpha)
     assert "layerode.problem" in imported
-    assert "numpy" not in imported
+    assert not {"numpy", "fractions"} & imported
 
 
 @pytest.mark.parametrize("args", [["mesh", "--N", "64"],
@@ -464,6 +488,30 @@ UNDERFLOWING_MAP = {
            5.846933485950721e+30, 0.5298413907738992, 4.4171305727585235,
            2.1880963418932082, 0.4749455824748503, 0.20665269124889687,
            0.6296507246126398, 0.43953259609012435]]}
+# draw 48 of the contract test's seed 3: eps_2/delta_1 u0_2 overflows in
+# step 1's right-hand side, while U_1 does not
+OVERFLOWING_RIGHT_HAND_SIDE = {
+    "n": 2, "T": 0.7592310880327728, "eps": [1.2067502332367114e-273, 1.7837037808354022e-31],
+    "u0": [-0.10584176373208448, 2.4382057811705725e+214],
+    "A": [[[0.3914202505846182, 1.9950048372518734], [-0.13063818195839824]],
+          [[-0.18551395328203296], [0.24762575066431963, 0.1081691874098534]]],
+    "f": [[2.375625949234346, 0.27035778732598875, 0.197678557992504],
+          [-1.1054191343674007, -5.251833338107095e-134, -3.5002759366992096]]}
+# draw 70 of the contract test's seed 1: A(t) of degree 13 overflows at
+# step 5's time, near T = 2.2e52
+OVERFLOWING_STEP_MATRIX = {
+    "n": 1, "T": 2.176130640586125e+52, "eps": [3.64550131236179e-150],
+    "u0": [2.884622045162836],
+    "A": [[[0.3109150516021262, 0.7322397807331463, 1.0422524802801645, 6.260966456050775,
+            2.688900125666709, 1.4026229783725856, 0.33184390732342756,
+            5.1292147853607553e-306, 0.17473103750001762, 9.358432742585734,
+            3.0533150888310664e-92, 4.636915300186782e-68, 4.5615382318833774e-223,
+            8.309127108843712e-214]]],
+    "f": [[-4.992580631561202e+71]]}
+# a_11 U_1 = 1.5e308 U_1 overflows in M_1 U_1, while U_1 (near 10), b_1 and
+# M_1 do not
+OVERFLOWING_PRODUCT = {"n": 2, "T": 1.0, "eps": [0.5, 1.0], "u0": [10.0, 10.0],
+                       "A": [[1.5e308, -1.4e308], [-1.0, 3.0]], "f": [0.0, 0.0]}
 
 # (problem file data, arguments after --problem FILE, exit code, the one
 # stderr line); numpy warns while computing each, and none of that may
@@ -473,11 +521,14 @@ UNDERFLOWING_MAP = {
 # three are admissible and solve, but 1e10 / 1e-300 overflows the closed
 # form's generator -t E^-1 A, A(0)^-1 f(0) = 1e310 overflows the smooth
 # part's initial value, and |f| / alpha = 1e400 the stability certificate's
-# bound. The last two are the march's own causes of exit 6.
+# bound. The rest are the march's own causes of exit 6: the first step
+# whose residual is not finite names the term that overflows, and the
+# last fails the guard with a finite residual.
 NON_FINITE_CASES = [
     ({**asdict(cases.constant_two_scale()), "u0": [1e308, 1e308]},
      ["solve", "--N", "16"], EXIT_NUMERICAL,
-     "numerical error: step 1 solve residual nan exceeds tolerance\n"),
+     "numerical error: step 1 right-hand side is not finite: "
+     "b_j = eps/delta_j U_(j-1) + f(t_j) overflows double range\n"),
     ({"n": 2, "T": 10.0, "eps": [0.0001, 0.01], "u0": [0, 0],
       "A": [[[3, 0, 1e308], [-1, 0, -1e308]], [-1, 3]], "f": [2, 2]},
      ["solve", "--N", "16"], EXIT_NUMERICAL,
@@ -491,6 +542,16 @@ NON_FINITE_CASES = [
      "numerical error: stability bound max(|U(0)|, |f| / alpha) is not finite\n"),
     (OVERFLOWING_SOLUTION, ["solve", "--N", "8"], EXIT_NUMERICAL,
      "numerical error: step 2 solution is not finite: U_j overflows double range\n"),
+    (OVERFLOWING_RIGHT_HAND_SIDE, ["solve", "--N", "16", "--decompose", "--certify"],
+     EXIT_NUMERICAL,
+     "numerical error: step 1 right-hand side is not finite: "
+     "b_j = eps/delta_j U_(j-1) + f(t_j) overflows double range\n"),
+    (OVERFLOWING_STEP_MATRIX, ["solve", "--N", "8", "--decompose", "--certify"],
+     EXIT_NUMERICAL,
+     "numerical error: step 5 step matrix is not finite: "
+     "M_j = diag(eps)/delta_j + A(t_j) overflows double range\n"),
+    (OVERFLOWING_PRODUCT, ["solve", "--N", "8"], EXIT_NUMERICAL,
+     "numerical error: step 1 product is not finite: M_j U_j overflows double range\n"),
     (UNDERFLOWING_MAP, ["solve", "--N", "8"], EXIT_NUMERICAL,
      "numerical error: step 5 solve residual 1.982e+39 exceeds tolerance\n"),
 ]
@@ -500,7 +561,8 @@ NON_FINITE_CASES = [
                          ids=["overflowing_u0", "overflowing_A",
                               "overflowing_generator", "overflowing_reduced_value",
                               "overflowing_stability_bound", "overflowing_solution",
-                              "underflowing_map"])
+                              "overflowing_right_hand_side", "overflowing_step_matrix",
+                              "overflowing_product", "underflowing_map"])
 def test_non_finite_values_fail_closed(tmp_path, capsys, data, args, code, err):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(data), encoding="utf-8")

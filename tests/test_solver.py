@@ -409,11 +409,12 @@ def test_zero_residual_tolerance_trips_the_guard(monkeypatch):
 
 
 # b_j = diag(eps)/delta_j U_{j-1} + f overflows, so the residual of step 1
-# is nan (nan > tol is False); numpy warns about the overflow on the way.
+# is nan (nan > tol is False) and b_j is named; numpy warns about the
+# overflow on the way.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_residual_trips_the_guard():
     vp = validate(replace(cases.constant_two_scale(), u0=(1e308, 1e308)))
-    with pytest.raises(SolveFailureError, match=r"^step 1 solve residual nan"):
+    with pytest.raises(SolveFailureError, match=r"^step 1 right-hand side is not finite"):
         solve(vp, 16)
 
 
