@@ -70,16 +70,16 @@ def exact_constant_solution(spec, ts):
     SolveFailureError rather than give a wrong reference; at very small
     eps the shared squaring count loses the small times that way.
     Raises OracleUnavailableError when the coefficients vary in time,
-    ValueError for a negative time and numpy.linalg.LinAlgError if A is
-    singular.
+    ValueError for a negative or non-finite time and
+    numpy.linalg.LinAlgError if A is singular.
     """
     if not spec.has_constant_coefficients():
         raise OracleUnavailableError(
             "coefficients vary in time, no closed-form reference; use two_mesh mode"
         )
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if (ts < 0.0).any():
-        raise ValueError("times must be nonnegative")
+    if not (np.isfinite(ts) & (ts >= 0.0)).all():
+        raise ValueError("times must be finite and nonnegative")
     a = sample_A(spec, 0.0)[0]
     steady = np.linalg.solve(a, sample_f(spec, 0.0)[0])
     gens = -ts[:, None, None] * (a / np.asarray(spec.eps)[:, None])
@@ -158,14 +158,17 @@ class SweepReport:
 
 def order_rows(n_values, errors):
     """Pair mesh sizes with errors; p = log2(e_N / e_2N) is absent on the
-    last row and wherever an error vanishes, c_fit = error * N / ln N."""
+    last row and wherever an error vanishes, c_fit = error * N / ln N.
+    Where the quotient over- or underflows, p is log2(e_N) - log2(e_2N)."""
     rows = []
     for i, (nn, err) in enumerate(zip(n_values, errors)):
         nn = int(nn)
         err = float(err)
         p = None
         if i + 1 < len(errors) and err > 0.0 and errors[i + 1] > 0.0:
-            p = math.log2(err / errors[i + 1])
+            ratio = err / float(errors[i + 1])
+            p = (math.log2(ratio) if 0.0 < ratio < math.inf
+                 else math.log2(err) - math.log2(errors[i + 1]))
         rows.append(ConvergenceRow(N=nn, error=err, p=p, c_fit=err * nn / math.log(nn)))
     return tuple(rows)
 

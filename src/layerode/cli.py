@@ -149,14 +149,11 @@ def _cmd_validate(args):
     vp = validate(load_problem(args.problem))
     spec = vp.spec
     if args.json:
-        print(json.dumps({
-            "alpha": vp.alpha,
-            "n": spec.n,
-            "T": spec.T,
-            "eps": list(spec.eps),
-        }))
+        line = json.dumps({"alpha": vp.alpha, "n": spec.n, "T": spec.T,
+                           "eps": list(spec.eps)})
     else:
-        print("alpha = %s" % _fmt(vp.alpha))
+        line = "alpha = %s" % _fmt(vp.alpha)
+    _emit([line], None)
     return EXIT_OK
 
 

@@ -2,12 +2,12 @@
 
 Matrix and forcing entries are polynomials in t, held as tuples of ascending
 coefficients. sample_A and sample_f evaluate them in floats on arrays of
-times by one Horner rule (_polyval); validate evaluates them exactly, by
-Horner's rule in integers (_value). Each extremum on [0, T] sits at an
-endpoint or at a root of the derivative. Validation establishes the sign
-and dominance structure of A(t) that the stepping operator's monotonicity
-relies on, and extracts the decay rate alpha, the least row sum, used to
-place mesh transition points.
+times, all entries at once by one vector-valued Horner rule (_sample);
+validate evaluates them exactly, by Horner's rule in integers (_value).
+Each extremum on [0, T] sits at an endpoint or at a root of the
+derivative. Validation establishes the sign and dominance structure of A(t)
+that the stepping operator's monotonicity relies on, and extracts the decay
+rate alpha, the least row sum, used to place mesh transition points.
 
 This module imports numpy only inside the samplers; validate needs neither
 numpy nor fractions.
@@ -212,29 +212,25 @@ class ValidatedProblem:
     alpha: float
 
 
-def _polyval(coeffs, t):
-    """The polynomial with ascending coeffs at t, by Horner's rule written as
-    numpy.polynomial's polyval writes it, so the two agree bit for bit on
-    floats and arrays of times."""
-    acc = coeffs[-1] + 0 * t
-    for c in coeffs[-2::-1]:
-        acc = acc * t + c
-    return acc
-
-
 def _sample(spec, entries, ts):
     """Each polynomial of entries at each time of ts; shape (len(ts),
-    len(entries)). Times outside [0, T] raise ValueError."""
+    len(entries)). Times outside [0, T], or nan, raise ValueError. One
+    Horner rule runs over all entries, zero-padded to one degree: a column
+    stays +0 until its own top coefficient, so it matches numpy.polynomial's
+    polyval on its entry bit for bit."""
     import numpy as np
 
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if ts.size and (float(ts.min()) < 0.0 or float(ts.max()) > spec.T):
+    if ts.size and not (0.0 <= float(ts.min()) and float(ts.max()) <= spec.T):
         raise ValueError(
             f"times outside the problem domain [0, {spec.T!r}]"
         )
-    out = np.empty((ts.size, len(entries)))
-    for k, p in enumerate(entries):
-        out[:, k] = _polyval(p, ts)
+    degree = max(map(len, entries))
+    coeffs = np.array([p + (0.0,) * (degree - len(p)) for p in entries])
+    out = np.zeros((ts.size, len(entries)))
+    for c in coeffs.T[::-1]:
+        out *= ts[:, None]
+        out += c
     return out
 
 

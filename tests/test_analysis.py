@@ -100,6 +100,9 @@ def test_closed_form_needs_constant_coefficients_and_nonnegative_times():
         exact_constant_solution(cases.variable_three_scale(), 0.5)
     with pytest.raises(ValueError):
         exact_constant_solution(cases.constant_two_scale(), [0.5, -0.25])
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            exact_constant_solution(cases.constant_two_scale(), [0.5, t])
 
 
 def test_exact_error_zero_for_steady_problem():
@@ -144,6 +147,15 @@ def test_order_rows_absent_on_vanishing_errors():
     rows = order_rows([16, 32, 64], [0.1, 0.0, 0.05])
     assert [row.p for row in rows] == [None, None, None]
     assert rows[1].c_fit == 0.0
+
+
+def test_order_rows_survive_a_quotient_beyond_double_range():
+    # 1e-300 / 1e100 underflows to 0 and 1e300 / 1e-300 overflows to inf;
+    # p is then the difference of the two logarithms
+    (low, _), (high, _) = (order_rows([128, 256], errors)
+                           for errors in ([1e-300, 1e100], [1e300, 1e-300]))
+    assert low.p == pytest.approx(-400 * math.log2(10), rel=1e-15)
+    assert high.p == pytest.approx(600 * math.log2(10), rel=1e-15)
 
 
 def test_convergence_study_validates_input():

@@ -424,6 +424,22 @@ def test_closed_stdout_ends_the_output_quietly():
     assert (proc.returncode, err) == (EXIT_OK, b"")
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_validate_into_a_closed_pipe_exits_0(json_flag):
+    # the reader is gone before the command starts: its one line is dropped
+    # and the command exits 0 without a message, as mesh and solve do
+    source = cases.PROBLEMS / "constant_two_scale.json"
+    argv = [sys.executable, "-m", "layerode.cli", "validate", "--problem", str(source)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(argv + json_flag, stdout=write_end, stderr=subprocess.PIPE,
+                              env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+
+
 def test_validate_finds_cubic_extrema_without_numpy(tmp_path):
     # the derivative of 3 - t^2 + t^3 is a quadratic; the first row sum
     # 2 - t^2 + t^3 is smallest, 50/27, at t = 2/3

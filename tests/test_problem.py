@@ -55,6 +55,25 @@ def test_sampling_matches_numpy_polyval_bit_for_bit():
         t = float(ts[2])
         assert sample_A(spec, t)[0, 0, 0] == npoly.polyval(t, coeffs)
         assert sample_f(spec, t)[0, 0] == npoly.polyval(t, coeffs[::-1])
+    # n = 2..4: every entry has its own degree, so the one Horner pass pads
+    # the shorter ones; zeros and -0.0 among the coefficients, t = 0 and T
+    # among the times, and each column checked sign bit and all
+    for _ in range(300):
+        n = int(rng.integers(2, 5))
+        entries = []
+        for _ in range(n * n + n):
+            c = rng.normal(size=int(rng.integers(1, 18))) * 10.0 ** rng.integers(-3, 4)
+            c[rng.random(c.size) < 0.2] = 0.0
+            c[rng.random(c.size) < 0.1] = -0.0
+            entries.append(c)
+        doc = {"n": n, "T": 2.0, "eps": list(np.linspace(0.25, 1.0, n)), "u0": [0.0] * n,
+               "A": [[c.tolist() for c in entries[i * n:(i + 1) * n]] for i in range(n)],
+               "f": [c.tolist() for c in entries[n * n:]]}
+        spec = problem_from_dict(doc)
+        got = np.column_stack([sample_A(spec, ts).reshape(ts.size, -1), sample_f(spec, ts)])
+        want = np.column_stack([npoly.polyval(ts, c) for c in entries])
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_polynomial_degree_cap():
@@ -292,6 +311,8 @@ def test_evaluation_outside_domain_rejected():
         sample_f(spec, 1.5)
     with pytest.raises(ValueError):
         sample_A(spec, [0.5, 1.5])
+    with pytest.raises(ValueError, match="outside the problem domain"):
+        sample_A(spec, [0.5, math.nan])
 
 
 def test_json_round_trip():
