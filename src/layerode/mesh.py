@@ -176,9 +176,10 @@ def interaction_points(vp):
     alpha. It is evaluated as eps_i / alpha (eps_j / g) ln(1 + g/eps_i) with
     g = eps_j - eps_i: it does not cancel, nor divide by zero when the two
     scales are adjacent floats, nor underflow in a product of two small
-    factors. Where g/eps_i overflows it takes ln(eps_j) - ln(eps_i) instead.
-    Every time must be positive and the times must increase in both
-    indices; either failing raises MeshError.
+    factors. Where g/eps_i overflows it takes ln(eps_j) - ln(eps_i) instead,
+    and for coincident scales (g = 0) the g -> 0 limit, eps_i / alpha. Every
+    time must be positive and the times must increase in both indices;
+    either failing raises MeshError.
     """
     eps, alpha = vp.spec.eps, vp.alpha
     n = len(eps)
@@ -189,7 +190,8 @@ def interaction_points(vp):
             log_ratio = math.log1p(g / eps[i])
             if math.isinf(log_ratio):  # g / eps_i overflowed
                 log_ratio = math.log(eps[j]) - math.log(eps[i])
-            values[(i + 1, j + 1)] = eps[i] / alpha * (eps[j] / g) * log_ratio
+            values[(i + 1, j + 1)] = (eps[i] / alpha * (eps[j] / g) * log_ratio
+                                      if g else eps[i] / alpha)
     for (i, j), t in values.items():
         if not t > 0.0:
             raise MeshError("crossing time (%d,%d) is not positive" % (i, j))

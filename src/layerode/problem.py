@@ -49,7 +49,7 @@ class ProblemValidationError(ValueError):
     ----------
     condition : str
         Machine-readable tag: 'off-diagonal-sign', 'row-dominance',
-        'horizon', 'eps-range', 'eps-ordering' or 'eps-coincident'.
+        'horizon', 'eps-range' or 'eps-ordering'.
     row, col : int or None
         1-based indices of the offending entry, when applicable.
     t : float or None
@@ -121,7 +121,7 @@ def _coeffs(entry):
 
 def _eps(values):
     """Perturbation parameters as a tuple of floats: at least one, each in
-    (0, 1], strictly increasing."""
+    (0, 1], non-decreasing (equal neighbours are coincident scales)."""
     eps = tuple(_number(e, "perturbation parameter")
                 for e in _sequence(values, "perturbation parameters"))
     if not eps:
@@ -133,16 +133,10 @@ def _eps(values):
                 f"perturbation parameter {i + 1} is {e!r}, expected a value in (0, 1]",
             )
     for i in range(len(eps) - 1):
-        if eps[i] == eps[i + 1]:
-            raise ProblemValidationError(
-                "eps-coincident",
-                "perturbation parameters %d and %d coincide (%r); scales must be distinct"
-                % (i + 1, i + 2, eps[i]),
-            )
         if eps[i] > eps[i + 1]:
             raise ProblemValidationError(
                 "eps-ordering",
-                "perturbation parameters must increase strictly, got %r before %r"
+                "perturbation parameters must not decrease, got %r before %r"
                 % (eps[i], eps[i + 1]),
             )
     return eps

@@ -44,11 +44,26 @@ def _criterion(num, description, ok, detail):
     assert ok, "criterion %d: %s [%s]" % (num, description, detail)
 
 
+# Coincident entries for each top x of the default grid: the case the paper
+# excludes by assuming distinct scales, swept under the same bands
+COINCIDENT_SHAPES = {
+    2: [(1.0, 1.0)],
+    3: [(2.0 ** -8, 2.0 ** -8, 1.0), (2.0 ** -4, 1.0, 1.0), (1.0, 1.0, 1.0)],
+}
+
+
+def _grid_with_coincident(n):
+    grid = default_eps_grid(n)
+    tops = {eps[-1] for eps in grid}
+    return grid + [tuple(x * r for r in shape)
+                   for x in tops for shape in COINCIDENT_SHAPES[n]]
+
+
 @pytest.fixture(scope="module")
 def oracle_sweep():
     template = cases.constant_two_scale()
     start = time.perf_counter()
-    report = uniform_sweep(template, default_eps_grid(2), SWEEP_N, exact_error)
+    report = uniform_sweep(template, _grid_with_coincident(2), SWEEP_N, exact_error)
     return report, time.perf_counter() - start
 
 
@@ -85,7 +100,8 @@ def test_criterion_2_constant_fit_stability(oracle_sweep):
 
 def test_criterion_3_two_mesh_variable_coefficients():
     template = cases.variable_three_scale()
-    report = uniform_sweep(template, default_eps_grid(3), SWEEP_N, two_mesh_difference)
+    report = uniform_sweep(template, _grid_with_coincident(3), SWEEP_N,
+                           two_mesh_difference)
     uniform_p = [row.p for row in report.uniform if row.p is not None]
     ok = all(p >= P_UNIFORM_FLOOR for p in uniform_p)
     _criterion(3, "two-mesh sweep is robustly first order", ok,

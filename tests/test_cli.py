@@ -451,6 +451,20 @@ def test_validate_finds_cubic_extrema_without_numpy(tmp_path):
     assert validate(load_problem(path)).alpha == pytest.approx(50 / 27, rel=1e-14)
 
 
+@pytest.mark.parametrize("grid,code,err", [
+    ("0.0078125,0.0078125", EXIT_OK, ""),
+    ("0.0078125,0.00390625", EXIT_VALIDATION,
+     "validation error: perturbation parameters must not decrease, "
+     "got 0.0078125 before 0.00390625\n"),
+], ids=["coincident", "decreasing"])
+def test_sweep_accepts_coincident_scales(tmp_path, capsys, grid, code, err):
+    path = _write_problem(tmp_path, cases.constant_two_scale())
+    args = ["sweep", "--problem", path, "--N", "16,32", "--mode", "exact",
+            "--eps-grid", grid]
+    assert main(args) == code
+    assert capsys.readouterr().err == err
+
+
 def test_sweep_band_gate(tmp_path, capsys):
     path = _write_problem(tmp_path, cases.constant_two_scale())
     args = [

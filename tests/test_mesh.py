@@ -148,6 +148,19 @@ def test_crossing_time_of_adjacent_scales():
     assert t == pytest.approx(eps[0] / 2.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("eps", [
+    (2.0 ** -8, 0.25, 0.25), (2.0 ** -8, 2.0 ** -8, 0.25), (0.25,) * 3,
+], ids=["upper_pair", "lower_pair", "triple"])
+def test_crossing_time_of_coincident_scales(eps):
+    # g = 0 takes the limit of the adjacent-float case, eps_i / alpha, and
+    # three scales with a coincident pair still pass the ordering checks
+    points = interaction_points(cases.scaled_identity(eps, 2.0, 1.0))
+    assert len(points) == len(eps) * (len(eps) - 1) // 2
+    for (i, j), t in points.items():
+        if eps[i - 1] == eps[j - 1]:
+            assert t == eps[i - 1] / 2.0
+
+
 def test_crossing_time_of_subnormal_scale():
     # g / eps_1 overflows; the reference is a 50-digit evaluation of
     # eps_1 eps_2 ln(eps_2 / eps_1) / (alpha (eps_2 - eps_1))

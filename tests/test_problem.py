@@ -10,6 +10,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 import cases
+from layerode.mesh import build_mesh, interaction_points
 from layerode.problem import (
     ProblemFormatError,
     ProblemSpec,
@@ -20,6 +21,7 @@ from layerode.problem import (
     sample_f,
     validate,
 )
+from layerode.solver import decompose, march
 
 
 def _scalar_doc(a, f=0.0):
@@ -89,16 +91,26 @@ def test_polynomial_rejects_non_finite_coefficients():
         problem_from_dict(_scalar_doc(1.0, f=[float("inf")]))
 
 
-def test_eps_must_increase_strictly():
-    with pytest.raises(ProblemValidationError) as err:
+def test_eps_must_not_decrease():
+    with pytest.raises(ProblemValidationError,
+                       match=r"^perturbation parameters must not decrease, "
+                             r"got 0\.5 before 0\.25$") as err:
         cases.constant_two_scale(eps=(0.5, 0.25))
     assert err.value.condition == "eps-ordering"
 
 
-def test_eps_coincident_rejected():
-    with pytest.raises(ProblemValidationError) as err:
-        cases.constant_two_scale(eps=(0.25, 0.25))
-    assert err.value.condition == "eps-coincident"
+def test_eps_coincident_accepted():
+    # the paper assumes distinct scales, but nothing numerical needs them:
+    # equal neighbours validate, mesh and march, and their layer envelopes
+    # cross at the g -> 0 limit eps_i / alpha
+    vp = validate(cases.constant_two_scale(eps=(2.0 ** -10, 2.0 ** -10)))
+    mesh = build_mesh(vp, 64)
+    full = march(vp, mesh, vp.spec.u0)
+    parts = decompose(vp, mesh)
+    assert np.isfinite(full.values).all()
+    assert np.allclose(parts.smooth.values + parts.singular.values, full.values,
+                       rtol=0.0, atol=1e-12)
+    assert interaction_points(vp) == {(1, 2): 2.0 ** -10 / vp.alpha}
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5])
