@@ -83,7 +83,7 @@ def exact_constant_solution(spec, ts):
     a = sample_A(spec, 0.0)[0]
     steady = np.linalg.solve(a, sample_f(spec, 0.0)[0])
     gens = -ts[:, None, None] * (a / np.asarray(spec.eps)[:, None])
-    norm = float(np.abs(gens).sum(axis=-1).max())
+    norm = float(np.abs(gens).sum(axis=-1).max(initial=0.0))
     if not math.isfinite(norm):
         raise SolveFailureError(
             "closed-form generator -t E^-1 A is not finite (row norm %g)" % norm
@@ -232,7 +232,8 @@ def uniform_sweep(template, eps_grid, n_values, error):
     Parameters
     ----------
     template : ProblemSpec
-        Problem whose eps is replaced by each grid entry in turn.
+        Problem whose eps is replaced by each grid entry in turn; its own
+        eps is never validated.
     eps_grid : iterable of tuples
         Parameter choices; duplicates collapse and the order is canonical
         (sorted), so results do not depend on how the grid was produced.

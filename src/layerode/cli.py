@@ -176,7 +176,7 @@ def _cmd_mesh(args):
 
 @_numeric
 def _cmd_solve(args):
-    from .solver import certify_max_principle, certify_stability, decompose, solve
+    from .solver import certify, decompose, solve
 
     vp = validate(load_problem(args.problem))
     grid = solve(vp, args.N)
@@ -185,14 +185,13 @@ def _cmd_solve(args):
     lines = ["# alpha = %s" % _fmt(vp.alpha)]
     certificates_ok = True
     if args.certify:
-        nonneg = certify_max_principle(grid)
-        stability = certify_stability(grid)
-        certificates_ok = nonneg and stability.ok
+        cert = certify(grid)
+        certificates_ok = cert.max_principle and cert.stability_ok
         lines += [
-            "# max_principle = %s" % ("ok" if nonneg else "violated"),
-            "# stability_bound = %s" % _fmt(stability.bound),
-            "# stability_max_norm = %s" % _fmt(stability.max_norm),
-            "# stability_ok = %s" % ("true" if stability.ok else "false"),
+            "# max_principle = %s" % ("ok" if cert.max_principle else "violated"),
+            "# stability_bound = %s" % _fmt(cert.stability_bound),
+            "# stability_max_norm = %s" % _fmt(cert.stability_max_norm),
+            "# stability_ok = %s" % ("true" if cert.stability_ok else "false"),
         ]
     header = ["j", "t_j"] + ["U_%d" % (i + 1) for i in range(n)]
     columns = [mesh.points, grid.values]

@@ -5,9 +5,11 @@ coefficients. sample_A and sample_f evaluate them in floats on arrays of
 times, all entries at once by one vector-valued Horner rule (_sample);
 validate evaluates them exactly, by Horner's rule in integers (_value).
 Each extremum on [0, T] sits at an endpoint or at a root of the
-derivative. Validation establishes the sign and dominance structure of A(t)
-that the stepping operator's monotonicity relies on, and extracts the decay
-rate alpha, the least row sum, used to place mesh transition points.
+derivative. Building a ProblemSpec checks only the format of its fields;
+validate decides every admissibility condition: the range and order of
+eps, and the sign and dominance structure of A(t) that the stepping
+operator's monotonicity relies on. It extracts the decay rate alpha, the
+least row sum, used to place mesh transition points.
 
 This module imports numpy only inside the samplers; validate needs neither
 numpy nor fractions.
@@ -43,13 +45,14 @@ class ProblemFormatError(ValueError):
 
 
 class ProblemValidationError(ValueError):
-    """Problem data violates an admissibility condition.
+    """Problem data violates an admissibility condition; raised only by
+    validate.
 
     Attributes
     ----------
     condition : str
-        Machine-readable tag: 'off-diagonal-sign', 'row-dominance',
-        'horizon', 'eps-range' or 'eps-ordering'.
+        Machine-readable tag: 'eps-range', 'eps-ordering',
+        'off-diagonal-sign', 'row-dominance' or 'horizon'.
     row, col : int or None
         1-based indices of the offending entry, when applicable.
     t : float or None
@@ -120,25 +123,12 @@ def _coeffs(entry):
 
 
 def _eps(values):
-    """Perturbation parameters as a tuple of floats: at least one, each in
-    (0, 1], non-decreasing (equal neighbours are coincident scales)."""
+    """Perturbation parameters as a tuple of floats, at least one; validate
+    decides whether they are admissible."""
     eps = tuple(_number(e, "perturbation parameter")
                 for e in _sequence(values, "perturbation parameters"))
     if not eps:
         raise ProblemFormatError("at least one perturbation parameter is required")
-    for i, e in enumerate(eps):
-        if not math.isfinite(e) or not (0.0 < e <= 1.0):
-            raise ProblemValidationError(
-                "eps-range",
-                f"perturbation parameter {i + 1} is {e!r}, expected a value in (0, 1]",
-            )
-    for i in range(len(eps) - 1):
-        if eps[i] > eps[i + 1]:
-            raise ProblemValidationError(
-                "eps-ordering",
-                "perturbation parameters must not decrease, got %r before %r"
-                % (eps[i], eps[i + 1]),
-            )
     return eps
 
 
@@ -161,7 +151,8 @@ class ProblemSpec:
 
     A is an n x n tuple and f an n-tuple of coefficient tuples, one per
     polynomial entry (see _coeffs); sample_A and sample_f evaluate them.
-    eps is a tuple of floats (see _eps).
+    eps is a tuple of floats (see _eps). Building a spec checks only the
+    format of its fields; validate decides whether they are admissible.
     """
 
     n: int
@@ -306,23 +297,37 @@ def _extremum_times(polys, T):
 
 
 def validate(spec):
-    """Admissibility check from the extrema of A(t) over [0, T].
-
-    Verifies that every off-diagonal entry is nonpositive and every row sum
-    positive on the whole interval, takes alpha as the least row sum, and
-    checks that the horizon covers the slowest layer
-    (T >= 2 max(eps) / alpha). Each off-diagonal entry and each row sum is
-    a polynomial in integers over one power-of-two denominator (_integers),
-    so a row sum adds up exactly, where entries cancel or overflow in
-    double too. Each is evaluated at both endpoints and at every critical
-    time of any of them (_critical_times), which hold every extremum the
-    checks need to within the spacing of doubles. Every value there is an
-    exact quotient of integers whose numerator decides its sign; only alpha
-    and the numbers in messages are rounded to doubles, once (_float).
-    Under the sign condition a row sum equals a_ii - sum_{j != i} |a_ij|,
-    so a positive row sum is strict row dominance. A violation reports the
-    earliest of those times at which it shows.
+    """Admissibility check, in this order: each eps in (0, 1] and none
+    below the one before it (equal neighbours are coincident scales), every
+    off-diagonal entry of A(t) nonpositive and every row sum positive on
+    [0, T], and a horizon that covers the slowest layer
+    (T >= 2 max(eps) / alpha), with alpha the least row sum. The first
+    violation raises ProblemValidationError. Each off-diagonal entry and
+    each row sum is a polynomial in integers over one power-of-two
+    denominator (_integers), so a row sum adds up exactly, where entries
+    cancel or overflow in double too. Each is evaluated at both endpoints
+    and at every critical time of any of them (_critical_times), which
+    hold every extremum the checks need to within the spacing of doubles.
+    Every value there is an exact quotient of integers whose numerator
+    decides its sign; only alpha and the numbers in messages are rounded
+    to doubles, once (_float). Under the sign condition a row sum equals
+    a_ii - sum_{j != i} |a_ij|, so a positive row sum is strict row
+    dominance. A violation reports the earliest of those times at which
+    it shows.
     """
+    eps = spec.eps
+    for i, e in enumerate(eps):
+        if not 0.0 < e <= 1.0:  # nan and inf fail too
+            raise ProblemValidationError(
+                "eps-range",
+                f"perturbation parameter {i + 1} is {e!r}, expected a value in (0, 1]",
+            )
+    for e, e_next in zip(eps, eps[1:]):
+        if e > e_next:
+            raise ProblemValidationError(
+                "eps-ordering",
+                "perturbation parameters must not decrease, got %r before %r" % (e, e_next),
+            )
     pairs = [(i, j) for i in range(spec.n) for j in range(spec.n) if i != j]
     off_entries = [_integers([spec.A[i][j]]) for i, j in pairs]
     row_sums = [_integers(row) for row in spec.A]
@@ -354,7 +359,7 @@ def validate(spec):
     # rounding is monotone: the least rounded row sum is the least one, rounded
     alpha = min(_float(*value) for row in sums for value in row)
     # a row sum below half the least double rounds to alpha = 0: no T fits
-    needed = 2.0 * spec.eps[-1] / alpha if alpha else math.inf
+    needed = 2.0 * eps[-1] / alpha if alpha else math.inf
     if spec.T < needed:
         raise ProblemValidationError(
             "horizon",

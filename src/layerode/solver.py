@@ -8,9 +8,9 @@ strict row dominance from A(t), so every step is a monotone
 (inverse-nonnegative) solve. march cuts the steps into chunks, and
 _march_chunk turns a chunk's steps into affine maps laid out in the block
 shape of the scan that _affine_recurrence runs on them.
-The certificates at the bottom of this module check the two consequences of
-the monotone structure on computed grids: preservation of nonnegative data
-and the maximum-norm stability bound.
+certify, at the bottom of this module, checks the two consequences of the
+monotone structure on a computed grid: preservation of nonnegative data and
+the maximum-norm stability bound.
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ __all__ = [
     "SolveFailureError",
     "SolutionGrid",
     "DecomposedSolution",
-    "StabilityCertificate",
+    "Certificate",
     "march",
     "solve",
     "decompose",
-    "certify_max_principle",
-    "certify_stability",
+    "certify",
 ]
 
 STEP_RESIDUAL_RTOL = 1e-12
@@ -52,8 +51,8 @@ class SolveFailureError(RuntimeError):
 class SolutionGrid:
     """Discrete solution bound to the problem and mesh it was computed on.
 
-    problem is the ValidatedProblem that was marched, so the certificates
-    and exact_error read its f and alpha from here. values[j, i] is
+    problem is the ValidatedProblem that was marched, so certify and
+    exact_error read its f and alpha from here. values[j, i] is
     component i at mesh point t_j: shape (N+1, n), time-major like sample_A
     and sample_f, and read-only.
     """
@@ -72,10 +71,13 @@ class DecomposedSolution:
 
 
 @dataclass(frozen=True)
-class StabilityCertificate:
-    bound: float
-    max_norm: float
-    ok: bool
+class Certificate:
+    """The maximum principle and stability certificates of one grid."""
+
+    max_principle: bool
+    stability_bound: float
+    stability_max_norm: float
+    stability_ok: bool
 
 
 def _affine_recurrence(s, c, out):
@@ -280,37 +282,28 @@ def decompose(vp, mesh):
     return DecomposedSolution(smooth=smooth, singular=singular)
 
 
-def certify_max_principle(grid):
-    """Nonnegativity certificate for grids marched from nonnegative data.
+def certify(grid):
+    """Both certificates of a grid, from one sample of the forcing of
+    grid.problem at the steps and one maximum of |U| over the grid.
 
-    If the initial value and the forcing of grid.problem at every step are
-    nonnegative, returns whether the grid stayed above -1e-12 * scale with
-    scale = max(1, largest magnitude on the grid). When that premise does
-    not hold the implication being certified is empty and the certificate
-    returns True vacuously.
+    max_principle: if the initial value and that forcing are nonnegative,
+    whether the grid stayed above -1e-12 * max(1, stability_max_norm);
+    True vacuously when that premise does not hold. stability_ok: whether
+    stability_max_norm = max_j ||U(t_j)|| obeys the bound
+    stability_bound = max(||U(0)||, max_j ||f(t_j)|| / alpha), with alpha
+    that of grid.problem. A bound that overflows raises SolveFailureError.
     """
-    if (grid.values[0] < 0.0).any():
-        return True
-    if (sample_f(grid.problem.spec, grid.mesh.points[1:]) < 0.0).any():
-        return True
-    scale = max(1.0, float(np.abs(grid.values).max()))
-    return bool(grid.values.min() >= -MAX_PRINCIPLE_RTOL * scale)
-
-
-def certify_stability(grid):
-    """Maximum-norm certificate: every grid value obeys
-    max_j ||U(t_j)|| <= max(||U(0)||, max_j ||f(t_j)|| / alpha), with f and
-    alpha those of grid.problem. A bound that overflows raises
-    SolveFailureError."""
-    initial_norm = float(np.abs(grid.values[0]).max())
+    values = grid.values
     rhs = sample_f(grid.problem.spec, grid.mesh.points[1:])
-    rhs_norm = float(np.abs(rhs).max())
-    bound = max(initial_norm, rhs_norm / grid.problem.alpha)
+    max_norm = float(np.abs(values).max())
+    max_principle = bool((values[0] < 0.0).any() or (rhs < 0.0).any()
+                         or values.min() >= -MAX_PRINCIPLE_RTOL * max(1.0, max_norm))
+    bound = max(float(np.abs(values[0]).max()), float(np.abs(rhs).max()) / grid.problem.alpha)
     if not math.isfinite(bound):
         raise SolveFailureError("stability bound max(|U(0)|, |f| / alpha) is not finite")
-    max_norm = float(np.abs(grid.values).max())
-    return StabilityCertificate(
-        bound=bound,
-        max_norm=max_norm,
-        ok=bool(max_norm <= bound + STABILITY_RTOL * bound),
+    return Certificate(
+        max_principle=max_principle,
+        stability_bound=bound,
+        stability_max_norm=max_norm,
+        stability_ok=bool(max_norm <= bound + STABILITY_RTOL * bound),
     )

@@ -22,8 +22,7 @@ from layerode.mesh import build_mesh, bisect_mesh, interaction_points
 from layerode.problem import load_problem, validate
 from layerode.solver import (
     SolutionGrid,
-    certify_max_principle,
-    certify_stability,
+    certify,
     decompose,
     march,
     solve,
@@ -130,7 +129,7 @@ def test_criterion_5_discrete_maximum_principle():
         vp = validate(cases.random_nonneg_problem(rng))
         grid = solve(vp, 64)
         scale = max(1.0, float(np.abs(grid.values).max()))
-        if grid.values.min() < -1e-12 * scale or not certify_max_principle(grid):
+        if grid.values.min() < -1e-12 * scale or not certify(grid).max_principle:
             failures += 1
     _criterion(5, "nonnegative data keeps the solution nonnegative",
                failures == 0, "%d failures in 200 runs" % failures)
@@ -141,7 +140,7 @@ def test_criterion_6_discrete_stability():
     for name, spec in cases.suite():
         vp = validate(spec)
         for N in SUITE_N:
-            if not certify_stability(solve(vp, N)).ok:
+            if not certify(solve(vp, N)).stability_ok:
                 failures.append((name, N))
     _criterion(6, "stability certificate holds on the suite",
                not failures, "failures: %s" % (failures or "none"))

@@ -95,6 +95,10 @@ def test_closed_form_steady_state():
     assert np.abs(u - 1.0).max() <= 1e-13
 
 
+def test_closed_form_at_no_times_has_no_rows():
+    assert exact_constant_solution(cases.constant_two_scale(), []).shape == (0, 2)
+
+
 def test_closed_form_needs_constant_coefficients_and_nonnegative_times():
     with pytest.raises(OracleUnavailableError):
         exact_constant_solution(cases.variable_three_scale(), 0.5)

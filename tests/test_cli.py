@@ -8,7 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 from itertools import zip_longest
 from pathlib import Path
@@ -38,7 +38,7 @@ from layerode.problem import (
     problem_from_dict,
     validate,
 )
-from layerode.solver import decompose, solve
+from layerode.solver import certify, decompose, solve
 
 PROBLEMS = sorted(cases.PROBLEMS.glob("*.json"))
 
@@ -465,6 +465,26 @@ def test_sweep_accepts_coincident_scales(tmp_path, capsys, grid, code, err):
     assert capsys.readouterr().err == err
 
 
+def test_file_eps_is_decided_where_it_is_used(tmp_path, capsys):
+    # sweep replaces the file's eps by each grid entry, so a decreasing eps
+    # in the file does not stop it; every other command validates that eps
+    # and exits 3. A malformed field is found while the file is read, before
+    # validation, and exits 2.
+    spec = cases.constant_two_scale()
+    path = _write_problem(tmp_path, spec, eps=[0.5, 0.25])
+    study = ["--mode", "exact", "--N", "16,32"]
+    assert main(["sweep", "--problem", path] + study + ["--eps-grid", "0.001,0.01"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    err = "validation error: perturbation parameters must not decrease, got 0.5 before 0.25\n"
+    for argv in (["validate"], ["mesh", "--N", "16"], ["solve", "--N", "16"],
+                 ["converge"] + study):
+        assert main([argv[0], "--problem", path] + argv[1:]) == EXIT_VALIDATION, argv
+        assert capsys.readouterr() == ("", err), argv
+    path = _write_problem(tmp_path, spec, eps=[0.5, 0.25], T=0.0)
+    assert main(["validate", "--problem", path]) == EXIT_PARSE
+    assert capsys.readouterr() == ("", "error: horizon T must be positive\n")
+
+
 def test_sweep_band_gate(tmp_path, capsys):
     path = _write_problem(tmp_path, cases.constant_two_scale())
     args = [
@@ -710,7 +730,8 @@ def test_table_output_matches_per_row_formatter(problem, capsys):
 
 
 def _fail_certificate(monkeypatch):
-    monkeypatch.setattr("layerode.solver.certify_max_principle", lambda grid: False)
+    monkeypatch.setattr("layerode.solver.certify",
+                        lambda grid: replace(certify(grid), max_principle=False))
 
 
 def _zero_residual_tolerance(monkeypatch):

@@ -92,10 +92,11 @@ def test_polynomial_rejects_non_finite_coefficients():
 
 
 def test_eps_must_not_decrease():
+    spec = cases.constant_two_scale(eps=(0.5, 0.25))
     with pytest.raises(ProblemValidationError,
                        match=r"^perturbation parameters must not decrease, "
                              r"got 0\.5 before 0\.25$") as err:
-        cases.constant_two_scale(eps=(0.5, 0.25))
+        validate(spec)
     assert err.value.condition == "eps-ordering"
 
 
@@ -115,8 +116,9 @@ def test_eps_coincident_accepted():
 
 @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5])
 def test_eps_out_of_range_rejected(bad):
+    spec = replace(cases.steady_scalar(), eps=(bad,))
     with pytest.raises(ProblemValidationError) as err:
-        replace(cases.steady_scalar(), eps=(bad,))
+        validate(spec)
     assert err.value.condition == "eps-range"
 
 
@@ -409,12 +411,12 @@ def test_load_problem_rejects_bad_json(tmp_path):
 BIG = 10 ** 400  # a JSON integer that float() cannot convert
 
 
-def _edit(name, key, value, message, error=ProblemFormatError):
-    return pytest.param(key, value, error, message, id=name)
+def _edit(name, key, value, message):
+    return pytest.param(key, value, message, id=name)
 
 
-# Edits of constant_two_scale (n = 2), each with the exception it raises and
-# its exact message. A string, an object or a bare number where a sequence
+# Edits of constant_two_scale (n = 2), each with the exact message of the
+# ProblemFormatError that building a spec raises. A string, an object or a bare number where a sequence
 # is expected is rejected as a whole, never read item by item; a string or
 # a bool where a number is expected is rejected rather than converted; sizes
 # must fit n; an integer beyond double range reads as inf, as 1e400 would.
@@ -454,9 +456,6 @@ MALFORMED = [
     _edit("u0_big_int", "u0", [BIG, 0], "initial value must be finite, got inf"),
     _edit("f_big_int", "f", [[2, -BIG], 2],
           "polynomial coefficient must be finite, got -inf"),
-    _edit("eps_big_int", "eps", [BIG, 0.5],
-          "perturbation parameter 1 is inf, expected a value in (0, 1]",
-          ProblemValidationError),
     _edit("A_rows", "A", [[3.0, -1.0]], "coefficient matrix must be 2x2"),
     _edit("A_cols", "A", [[3.0], [-1.0, 3.0]], "coefficient matrix must be 2x2"),
     _edit("f_size", "f", [2.0], "forcing must have 2 components"),
@@ -469,15 +468,45 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("key,value,error,message", MALFORMED)
-def test_malformed_field_named(key, value, error, message):
+@pytest.mark.parametrize("key,value,message", MALFORMED)
+def test_malformed_field_named(key, value, message):
     # pytest.raises lets any other exception through, so a TypeError or an
     # OverflowError from either entry point fails the test
     data = {**asdict(cases.constant_two_scale()), key: value}
     for build in (problem_from_dict, lambda d: ProblemSpec(**d)):
-        with pytest.raises(error) as err:
+        with pytest.raises(ProblemFormatError) as err:
             build(data)
         assert str(err.value) == message
+
+
+# eps of constant_two_scale (n = 2) that every way of building a spec
+# accepts and validate rejects, with its condition and exact message: the
+# range is checked before the order, and BIG reads as inf
+INADMISSIBLE_EPS = [
+    pytest.param((0.5, 0.25), "eps-ordering",
+                 "perturbation parameters must not decrease, got 0.5 before 0.25",
+                 id="decreasing"),
+    pytest.param((0.5, 0.0), "eps-range",
+                 "perturbation parameter 2 is 0.0, expected a value in (0, 1]", id="zero"),
+    pytest.param((1.5, 0.5), "eps-range",
+                 "perturbation parameter 1 is 1.5, expected a value in (0, 1]", id="above_1"),
+    pytest.param((0.5, math.nan), "eps-range",
+                 "perturbation parameter 2 is nan, expected a value in (0, 1]", id="nan"),
+    pytest.param((math.inf, 0.5), "eps-range",
+                 "perturbation parameter 1 is inf, expected a value in (0, 1]", id="inf"),
+    pytest.param((BIG, 0.5), "eps-range",
+                 "perturbation parameter 1 is inf, expected a value in (0, 1]", id="big_int"),
+]
+
+
+@pytest.mark.parametrize("eps,condition,message", INADMISSIBLE_EPS)
+def test_inadmissible_eps_builds_and_fails_validation(eps, condition, message):
+    base = cases.constant_two_scale()
+    data = {**asdict(base), "eps": list(eps)}
+    for spec in (ProblemSpec(**data), problem_from_dict(data), replace(base, eps=eps)):
+        with pytest.raises(ProblemValidationError) as err:
+            validate(spec)
+        assert (err.value.condition, str(err.value)) == (condition, message)
 
 
 def test_numpy_values_read_as_plain_numbers():

@@ -12,8 +12,7 @@ from layerode.mesh import ShishkinMesh, build_mesh
 from layerode.problem import sample_A, sample_f, validate
 from layerode.solver import (
     SolveFailureError,
-    certify_max_principle,
-    certify_stability,
+    certify,
     decompose,
     march,
     solve,
@@ -320,22 +319,21 @@ def test_homogeneous_norms_never_grow():
 def test_nonnegative_data_certificates(name, spec, N):
     vp = validate(spec)
     grid = solve(vp, N)
-    assert certify_max_principle(grid)
+    cert = certify(grid)
+    assert cert.max_principle
     assert grid.values.min() >= -1e-12 * max(1.0, np.abs(grid.values).max())
-    stability = certify_stability(grid)
-    assert stability.ok
-    assert stability.max_norm <= stability.bound * (1.0 + 1e-10)
+    assert cert.stability_ok
+    assert cert.stability_max_norm <= cert.stability_bound * (1.0 + 1e-10)
 
 
 def test_stability_bound_values():
     vp = validate(cases.steady_scalar())
     grid = solve(vp, 8)
-    stability = certify_stability(grid)
-    assert stability.bound == 2.0
-    assert stability.max_norm == 2.0
+    cert = certify(grid)
+    assert cert.stability_bound == 2.0
+    assert cert.stability_max_norm == 2.0
     vp = validate(cases.layer_two_scale())
-    stability = certify_stability(solve(vp, 32))
-    assert stability.bound == 1.0
+    assert certify(solve(vp, 32)).stability_bound == 1.0
 
 
 def test_layer_part_certificates_use_zero_right_hand_side():
@@ -344,7 +342,7 @@ def test_layer_part_certificates_use_zero_right_hand_side():
     # forcing would give |f| / alpha = 1
     vp = validate(replace(cases.constant_two_scale(), u0=(0.5, 0.5)))
     singular = decompose(vp, build_mesh(vp, 16)).singular
-    assert certify_stability(singular).bound == 0.5
+    assert certify(singular).stability_bound == 0.5
 
 
 def test_certificate_vacuous_for_negative_initial_value():
@@ -352,7 +350,7 @@ def test_certificate_vacuous_for_negative_initial_value():
     mesh = build_mesh(vp, 4)
     grid = march(vp, mesh, (-1.0,))
     assert grid.values.min() < 0.0
-    assert certify_max_principle(grid)
+    assert certify(grid).max_principle
 
 
 def test_certificate_vacuous_for_negative_forcing():
@@ -363,7 +361,7 @@ def test_certificate_vacuous_for_negative_forcing():
     vp = validate(spec)
     grid = solve(vp, 4)
     assert grid.values.min() < 0.0
-    assert certify_max_principle(grid)
+    assert certify(grid).max_principle
 
 
 def test_march_rejects_foreign_mesh():
