@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .mesh import bisect_mesh
-from .problem import sample_A, sample_f, validate
+from .problem import (ProblemFormatError, ProblemValidationError, sample_A, sample_f,
+                      validate)
 from .solver import SolveFailureError, march, solve
 
 __all__ = [
@@ -243,9 +244,12 @@ def uniform_sweep(template, eps_grid, n_values, error):
         Error measure of one solved grid, exact_error or
         two_mesh_difference.
 
-    Each grid entry is validated and run through convergence_study in this
-    process, in sorted order, so a sweep is exactly the studies `converge`
-    would report one parameter choice at a time.
+    Every grid entry is validated before the first study runs; one that
+    fails re-raises validate's error (or the spec's format error), its
+    fields kept and its message led by `eps grid entry <entry>: `. Each
+    entry is then run through convergence_study in this process, in sorted
+    order, so a sweep is exactly the studies `converge` would report one
+    parameter choice at a time.
 
     Returns
     -------
@@ -257,10 +261,14 @@ def uniform_sweep(template, eps_grid, n_values, error):
     if not grid:
         raise ValueError("empty eps grid")
     n_values = [int(v) for v in n_values]
-    reports = tuple(
-        convergence_study(validate(replace(template, eps=eps)), n_values, error)
-        for eps in grid
-    )
+    problems = []
+    for eps in grid:
+        try:
+            problems.append(validate(replace(template, eps=eps)))
+        except (ProblemFormatError, ProblemValidationError) as exc:
+            exc.args = ("eps grid entry %s: %s" % (",".join(map(repr, eps)), exc),)
+            raise
+    reports = tuple(convergence_study(vp, n_values, error) for vp in problems)
     worst = [
         max(report.rows[i].error for report in reports)
         for i in range(len(n_values))

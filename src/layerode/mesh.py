@@ -6,7 +6,10 @@ union of n+1 uniform pieces joined at transition points. Transitions are
 placed from the slowest scale downward: each either halves its successor or
 stops at the layer width (eps_i / alpha) ln N, whichever is smaller. The
 construction therefore produces one of 2^n shapes, recorded as one branch
-bit per transition. bisect_mesh refines a mesh for two-mesh differences, and
+bit per transition. bisect_mesh refines a mesh for two-mesh differences.
+Both name, through one check (_checked_mesh), a piece too narrow for its
+intervals: at subnormal widths, rounding repeats its points or widens its
+step.
 interaction_points gives the crossing times of the layer envelopes.
 """
 
@@ -25,7 +28,7 @@ __all__ = [
     "interaction_points",
 ]
 
-# One-sided slack for geometry checks; covers linspace rounding only.
+# One-sided slack on build_mesh's step bound 2T/N; covers linspace rounding only.
 _GEOMETRY_SLACK = 1.0 + 1e-12
 
 
@@ -69,6 +72,39 @@ def _require_valid_N(N, n):
     return N
 
 
+def _counts(N, n):
+    # intervals per piece, innermost first
+    return [N // 2 ** n] + [N // 2 ** (n - i + 1) for i in range(1, n)] + [N // 2]
+
+
+def _checked_mesh(points, sigmas, bits, max_step=math.inf):
+    """The mesh on points (0 to T, with pieces of _counts intervals joined
+    at sigmas), after naming the first piece whose points repeat or, where
+    none does, the first whose step exceeds max_step. Where a piece's width
+    per interval is subnormal, linspace or a midpoint rounds its step, to 0
+    or up, and the piece may fail this way."""
+    N, n = len(points) - 1, len(sigmas)
+    counts = _counts(N, n)
+    deltas = np.diff(points)
+    bad = np.flatnonzero(deltas <= 0.0)
+    if not bad.size:
+        bad = np.flatnonzero(deltas > max_step)
+    if bad.size:
+        k = int(np.searchsorted(np.cumsum(counts), bad[0], side="right"))
+        bounds = (0.0, *sigmas, float(points[-1]))
+        names = ["0"] + ["sigma_%d" % (i + 1) for i in range(n)] + ["T"]
+        raise MeshError(
+            "the %spiece [%s, %s] is %r wide, too narrow for %d intervals: "
+            "their width underflows"
+            % ("first " if k == 0 else "", names[k], names[k + 1],
+               bounds[k + 1] - bounds[k], counts[k])
+        )
+    points.setflags(write=False)
+    deltas.setflags(write=False)
+    return ShishkinMesh(N=N, points=points, deltas=deltas, sigmas=tuple(sigmas),
+                        b=tuple(bits))
+
+
 def build_mesh(vp, N):
     """Mesh with N intervals for a validated problem, using its extracted alpha.
 
@@ -77,7 +113,8 @@ def build_mesh(vp, N):
     halving branch (ties count as halving), b_i = 1 the layer-width branch.
     The n+1 uniform pieces get N/2^n, N/2^(n-i+1) (i = 1 .. n-1) and N/2
     intervals. N must be a multiple of 2^n; anything else raises MeshError,
-    as does a piece too narrow for its intervals to be told apart.
+    as does a piece too narrow for its intervals to be told apart: one
+    whose points repeat, or whose step rounds wider than 2T/N.
     """
     eps, alpha, T = vp.spec.eps, vp.alpha, vp.spec.T
     n = len(eps)
@@ -96,56 +133,13 @@ def build_mesh(vp, N):
             sigmas[i] = width
             bits[i] = 1
         upper = sigmas[i]
-    counts = [N // 2 ** n] + [N // 2 ** (n - i + 1) for i in range(1, n)] + [N // 2]
+    counts = _counts(N, n)
     bounds = (0.0, *sigmas, T)
     pieces = [
         np.linspace(bounds[k], bounds[k + 1], counts[k] + 1) for k in range(n + 1)
     ]
     points = np.concatenate([pieces[0]] + [piece[1:] for piece in pieces[1:]])
-    deltas = np.diff(points)
-    # Where a piece's width per interval is subnormal, linspace rounds its
-    # step, to 0 or up so that its points overrun the piece's end.
-    repeated = np.flatnonzero(deltas <= 0.0)
-    if repeated.size:
-        k = int(np.searchsorted(np.cumsum(counts), repeated[0], side="right"))
-        names = ["0"] + ["sigma_%d" % (i + 1) for i in range(n)] + ["T"]
-        raise MeshError(
-            "the %spiece [%s, %s] is %r wide, too narrow for %d intervals: "
-            "their width underflows"
-            % ("first " if k == 0 else "", names[k], names[k + 1],
-               bounds[k + 1] - bounds[k], counts[k])
-        )
-    points.setflags(write=False)
-    deltas.setflags(write=False)
-    mesh = ShishkinMesh(N=N, points=points, deltas=deltas, sigmas=tuple(sigmas),
-                        b=tuple(bits))
-    _verify_geometry(mesh, vp, counts)
-    return mesh
-
-
-def _verify_geometry(mesh, vp, counts):
-    # Construction guarantees all of this; check anyway, a broken mesh would
-    # silently poison every downstream error estimate.
-    eps, alpha, T = vp.spec.eps, vp.alpha, vp.spec.T
-    points = mesh.points
-    if sum(counts) != mesh.N or points.shape != (mesh.N + 1,):
-        raise MeshError("interval counts do not add up to N=%d" % mesh.N)
-    if points[0] != 0.0 or points[-1] != T:
-        raise MeshError("mesh endpoints are off")
-    if not (mesh.deltas > 0.0).all():
-        raise MeshError("mesh points are not strictly increasing")
-    if float(mesh.deltas.max()) > 2.0 * T / mesh.N * _GEOMETRY_SLACK:
-        raise MeshError("a mesh width exceeds 2T/N")
-    log_n = math.log(mesh.N)
-    previous = 0.0
-    for i, s in enumerate(mesh.sigmas):
-        if not s > previous:
-            raise MeshError("transition points are not strictly increasing")
-        if s > eps[i] / alpha * log_n * _GEOMETRY_SLACK:
-            raise MeshError("transition point %d exceeds its layer width bound" % (i + 1))
-        previous = s
-    if mesh.sigmas[-1] > 0.5 * T * _GEOMETRY_SLACK:
-        raise MeshError("last transition point exceeds T/2")
+    return _checked_mesh(points, sigmas, bits, 2.0 * T / N * _GEOMETRY_SLACK)
 
 
 def bisect_mesh(mesh):
@@ -153,18 +147,14 @@ def bisect_mesh(mesh):
 
     The refined mesh reuses the coarse sigmas instead of being rebuilt with
     ln(2N), so the two point sets nest exactly and two-grid differences need
-    no interpolation.
+    no interpolation. A midpoint that rounds onto an end of its interval
+    raises MeshError naming its piece, as build_mesh does.
     """
     old = mesh.points
     points = np.empty(2 * mesh.N + 1)
     points[::2] = old
     points[1::2] = 0.5 * (old[:-1] + old[1:])
-    deltas = np.diff(points)
-    points.setflags(write=False)
-    deltas.setflags(write=False)
-    return ShishkinMesh(
-        N=2 * mesh.N, points=points, deltas=deltas, sigmas=mesh.sigmas, b=mesh.b
-    )
+    return _checked_mesh(points, mesh.sigmas, mesh.b)
 
 
 def interaction_points(vp):
@@ -177,9 +167,10 @@ def interaction_points(vp):
     g = eps_j - eps_i: it does not cancel, nor divide by zero when the two
     scales are adjacent floats, nor underflow in a product of two small
     factors. Where g/eps_i overflows it takes ln(eps_j) - ln(eps_i) instead,
-    and for coincident scales (g = 0) the g -> 0 limit, eps_i / alpha. Every
-    time must be positive and the times must increase in both indices;
-    either failing raises MeshError.
+    and for coincident scales (g = 0) the g -> 0 limit, eps_i / alpha. The
+    times increase in both indices to within rounding, which may swap two
+    of near-coincident scales by an ulp. A time that is not positive (it
+    underflows) raises MeshError.
     """
     eps, alpha = vp.spec.eps, vp.alpha
     n = len(eps)
@@ -190,15 +181,8 @@ def interaction_points(vp):
             log_ratio = math.log1p(g / eps[i])
             if math.isinf(log_ratio):  # g / eps_i overflowed
                 log_ratio = math.log(eps[j]) - math.log(eps[i])
-            values[(i + 1, j + 1)] = (eps[i] / alpha * (eps[j] / g) * log_ratio
-                                      if g else eps[i] / alpha)
-    for (i, j), t in values.items():
-        if not t > 0.0:
-            raise MeshError("crossing time (%d,%d) is not positive" % (i, j))
-        later = values.get((i + 1, j))
-        if later is not None and t > later:
-            raise MeshError("crossing times out of order at (%d,%d)" % (i, j))
-        later = values.get((i, j + 1))
-        if later is not None and t > later:
-            raise MeshError("crossing times out of order at (%d,%d)" % (i, j))
+            t = eps[i] / alpha * (eps[j] / g) * log_ratio if g else eps[i] / alpha
+            if not t > 0.0:
+                raise MeshError("crossing time (%d,%d) is not positive" % (i + 1, j + 1))
+            values[(i + 1, j + 1)] = t
     return values

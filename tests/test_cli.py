@@ -18,7 +18,7 @@ import pytest
 
 import cases
 import layerode
-from layerode.analysis import default_eps_grid, eps_label
+from layerode.analysis import default_eps_grid, eps_label, uniform_sweep
 from layerode.cli import (
     EXIT_BAND,
     EXIT_CERTIFICATE,
@@ -122,6 +122,32 @@ def test_broken_mesh_geometry_exits_4(tmp_path, capsys):
     assert main(["mesh", "--problem", path, "--N", "64"]) == EXIT_MESH
     assert capsys.readouterr() == ("", "mesh error: the first piece [0, sigma_1] is 1.24e-322 "
                                        "wide, too narrow for 16 intervals: their width "
+                                       "underflows\n")
+
+
+def test_step_rounded_wider_than_2T_over_N_exits_4(tmp_path, capsys):
+    # the problem of test_mesh::test_step_rounded_wider_than_2T_over_N_is_named
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"n": 1, "T": 2.055e-321, "eps": [2.055e-321], "u0": [1.0],
+                                "A": [[2.0]], "f": [0.0]}), encoding="utf-8")
+    assert main(["mesh", "--problem", str(path), "--N", "56"]) == EXIT_MESH
+    assert capsys.readouterr() == ("", "mesh error: the first piece [0, sigma_1] is 1.03e-321 "
+                                       "wide, too narrow for 28 intervals: their width "
+                                       "underflows\n")
+
+
+def test_two_mesh_study_names_a_bisected_piece(tmp_path, capsys):
+    # the coarse mesh solves; its bisection repeats four midpoints, whose
+    # zero steps would leave U_j non-finite
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"n": 1, "T": 1e-320, "eps": [1.5e-323], "u0": [1.0],
+                                "A": [[2.0]], "f": [0.0]}), encoding="utf-8")
+    assert main(["solve", "--problem", str(path), "--N", "8", "--out", os.devnull]) == EXIT_OK
+    assert capsys.readouterr() == ("", "")
+    argv = ["converge", "--problem", str(path), "--mode", "two_mesh", "--N", "8,16"]
+    assert main(argv) == EXIT_MESH
+    assert capsys.readouterr() == ("", "mesh error: the first piece [0, sigma_1] is 2e-323 "
+                                       "wide, too narrow for 8 intervals: their width "
                                        "underflows\n")
 
 
@@ -454,8 +480,8 @@ def test_validate_finds_cubic_extrema_without_numpy(tmp_path):
 @pytest.mark.parametrize("grid,code,err", [
     ("0.0078125,0.0078125", EXIT_OK, ""),
     ("0.0078125,0.00390625", EXIT_VALIDATION,
-     "validation error: perturbation parameters must not decrease, "
-     "got 0.0078125 before 0.00390625\n"),
+     "validation error: eps grid entry 0.0078125,0.00390625: perturbation parameters "
+     "must not decrease, got 0.0078125 before 0.00390625\n"),
 ], ids=["coincident", "decreasing"])
 def test_sweep_accepts_coincident_scales(tmp_path, capsys, grid, code, err):
     path = _write_problem(tmp_path, cases.constant_two_scale())
@@ -463,6 +489,31 @@ def test_sweep_accepts_coincident_scales(tmp_path, capsys, grid, code, err):
             "--eps-grid", grid]
     assert main(args) == code
     assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("grid,code,err", [
+    ("0.001,0.01;0.1", EXIT_PARSE,
+     "error: eps grid entry 0.1: expected 2 perturbation parameters, got 1\n"),
+    ("0.001,0.01;0.5,0.25", EXIT_VALIDATION,
+     "validation error: eps grid entry 0.5,0.25: perturbation parameters must not "
+     "decrease, got 0.5 before 0.25\n"),
+], ids=["length", "decreasing"])
+def test_sweep_checks_every_entry_before_its_first_study(tmp_path, capsys, monkeypatch,
+                                                         grid, code, err):
+    # the bad entry sorts last; the error names it and keeps validate's fields
+    studies = []
+    monkeypatch.setattr("layerode.analysis.convergence_study",
+                        lambda *args: studies.append(args))
+    path = _write_problem(tmp_path, cases.constant_two_scale())
+    assert main(["sweep", "--problem", path, "--N", "16,32", "--eps-grid", grid]) == code
+    assert capsys.readouterr() == ("", err)
+    assert studies == []
+    spec = replace(cases.constant_two_scale(), A=cases.constant_matrix([[1, -2], [-1, 2]]))
+    with pytest.raises(ProblemValidationError) as info:
+        uniform_sweep(spec, [(0.01, 0.1)], [16], None)
+    assert str(info.value).startswith("eps grid entry 0.01,0.1: row 1 of the coefficient ")
+    assert (info.value.condition, info.value.row, info.value.col, info.value.t) == (
+        "row-dominance", 1, None, 0.0)
 
 
 def test_file_eps_is_decided_where_it_is_used(tmp_path, capsys):

@@ -1,19 +1,13 @@
 """Layer-adapted mesh construction, bisection and envelope crossing times."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 import cases
-from layerode.mesh import (
-    MeshError,
-    ShishkinMesh,
-    _verify_geometry,
-    bisect_mesh,
-    build_mesh,
-    interaction_points,
-)
+from layerode.mesh import MeshError, bisect_mesh, build_mesh, interaction_points
 from layerode.problem import validate
 
 
@@ -62,17 +56,6 @@ def test_unusable_n_rejected():
         build_mesh(cases.scaled_identity((1.0,), 1.0, 2.0), 0)
 
 
-def test_geometry_guard_rejects_repeated_points():
-    # build_mesh names a piece whose points repeat before this guard runs,
-    # so the guard's own check is fed a hand-built mesh
-    vp = validate(cases.constant_two_scale())
-    points = np.array([0.0, 0.25, 0.25, 0.5, 1.0])
-    mesh = ShishkinMesh(N=4, points=points, deltas=np.diff(points), sigmas=(0.25, 0.5),
-                        b=(0, 0))
-    with pytest.raises(MeshError, match="^mesh points are not strictly increasing$"):
-        _verify_geometry(mesh, vp, [1, 1, 2])
-
-
 def test_underflowing_first_piece_named():
     # eps_1 = 5e-324 validates, but (eps_1/alpha) ln N rounds to 0
     vp = validate(cases.constant_two_scale(eps=(5e-324, 1.0)))
@@ -97,7 +80,7 @@ def test_subnormal_piece_whose_step_rounds_up_is_named(eps, message):
         build_mesh(vp, 64)
 
 
-def test_subnormal_first_pieces_never_reach_the_geometry_guard():
+def test_subnormal_first_pieces_build_or_are_named():
     # eps_1 = k 2^-1074: each mesh builds or names its first piece
     for k in range(1, 80):
         vp = validate(cases.constant_two_scale(eps=(k * 5e-324, 1.0)))
@@ -105,6 +88,57 @@ def test_subnormal_first_pieces_never_reach_the_geometry_guard():
             build_mesh(vp, 64)
         except MeshError as exc:
             assert str(exc).startswith("the first piece [0, sigma_1] is "), k
+
+
+NAMED_PIECE = re.compile(r"the (first )?piece \[(0|sigma_\d), (sigma_\d|T)\] is \S+ wide, "
+                         r"too narrow for \d+ intervals: their width underflows")
+
+
+def test_step_rounded_wider_than_2T_over_N_is_named():
+    # T = eps: sigma_1 = T/2 halves, and linspace rounds the step of the
+    # first piece's 28 intervals to 7 least doubles, leaving 19 for its
+    # last, past 2T/N = 14.9 of them
+    vp = cases.scaled_identity((2.055e-321,), 2.0, 2.055e-321)
+    message = (r"^the first piece \[0, sigma_1\] is 1.03e-321 wide, too narrow for 28 "
+               "intervals: their width underflows$")
+    with pytest.raises(MeshError, match=message):
+        build_mesh(vp, 56)
+
+
+def test_subnormal_meshes_fail_only_by_naming_a_piece():
+    # eps_i = k 2^-1074 with T at 1 to 4 times its floor 2 eps_n / alpha:
+    # each mesh builds within its bounds, or names the piece whose points
+    # repeat or whose step rounds wider than 2T/N
+    rng = np.random.default_rng(2026)
+    named = 0
+    for _ in range(2000):
+        n = int(rng.integers(1, 4))
+        eps = tuple(float(k) * 5e-324 for k in np.sort(rng.integers(1, 4000, size=n)))
+        alpha = 2.0 ** int(rng.integers(-3, 4))
+        T = 2.0 * eps[-1] / alpha * float(rng.choice([1.0, 1.5, 2.0, 4.0]))
+        N = 2 ** n * int(rng.integers(1, 41))
+        vp = cases.scaled_identity(eps, alpha, T)
+        try:
+            mesh = build_mesh(vp, N)
+        except MeshError as exc:
+            assert NAMED_PIECE.fullmatch(str(exc)), (eps, alpha, T, N, str(exc))
+            named += 1
+            continue
+        assert (mesh.deltas > 0.0).all() and mesh.points[-1] == T
+        assert mesh.deltas.max() <= 2.0 * T / N * (1.0 + 1e-12)
+    assert 0 < named < 2000
+
+
+def test_bisected_mesh_names_a_piece_whose_midpoints_repeat():
+    # the coarse first piece holds 4 intervals of one least double each;
+    # every midpoint rounds onto an end, half to even
+    vp = cases.scaled_identity((1.5e-323,), 2.0, 1e-320)
+    coarse = build_mesh(vp, 8)
+    assert coarse.deltas[:4].tolist() == [5e-324] * 4
+    message = (r"^the first piece \[0, sigma_1\] is 2e-323 wide, too narrow for 8 "
+               "intervals: their width underflows$")
+    with pytest.raises(MeshError, match=message):
+        bisect_mesh(coarse)
 
 
 def test_build_mesh_uses_extracted_alpha():
@@ -159,6 +193,39 @@ def test_crossing_time_of_coincident_scales(eps):
     for (i, j), t in points.items():
         if eps[i - 1] == eps[j - 1]:
             assert t == eps[i - 1] / 2.0
+
+
+def test_crossing_times_of_near_coincident_scales():
+    # rounding puts t(1,3) an ulp after t(2,3), although the exact times
+    # increase in both indices
+    eps = (1e-4, math.nextafter(1e-4, 1.0), 1e-2)
+    points = interaction_points(cases.scaled_identity(eps, 2.0, 1.0))
+    assert sorted(points) == [(1, 2), (1, 3), (2, 3)]
+    assert points[(1, 3)] == pytest.approx(points[(2, 3)], rel=1e-15)
+
+
+def test_near_coincident_crossing_times_are_ordered_to_rounding():
+    # each scale a few ulps above the one before it, or a ratio up to 4;
+    # every time is positive and the order in both indices holds to 1e-15
+    rng = np.random.default_rng(2027)
+    for _ in range(2000):
+        n = int(rng.integers(2, 6))
+        eps = [2.0 ** -rng.uniform(1.0, 1000.0)]
+        for _ in range(n - 1):
+            if rng.random() < 0.3:
+                eps.append(eps[-1] * float(rng.uniform(1.0, 4.0)))
+            else:
+                eps.append(eps[-1] + math.ulp(eps[-1]) * int(rng.integers(0, 4)))
+        if eps[-1] > 1.0:
+            continue
+        alpha = 2.0 ** rng.uniform(-3.0, 3.0)
+        vp = cases.scaled_identity(tuple(eps), alpha, 2.0 * eps[-1] / alpha)
+        points = interaction_points(vp)
+        for (i, j), t in points.items():
+            assert t > 0.0
+            for later in ((i + 1, j), (i, j + 1)):
+                if later in points:
+                    assert t <= points[later] * (1.0 + 1e-15), (eps, alpha, (i, j), later)
 
 
 def test_crossing_time_of_subnormal_scale():
