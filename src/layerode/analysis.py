@@ -181,14 +181,15 @@ def convergence_study(vp, n_values, error):
     two_mesh_difference; it is applied to solve(vp, N) for each N.
     exact_error raises OracleUnavailableError when the coefficients vary in
     time. A non-finite error raises SolveFailureError, since it would leave
-    every order after it undefined.
+    every order after it undefined. Sizes are not rounded: one that solve
+    cannot mesh, a non-integral one among them, raises MeshError.
     """
-    n_values = [int(v) for v in n_values]
+    n_values = list(n_values)
     if not n_values:
         raise ValueError("need at least one mesh size")
     for first, second in zip(n_values, n_values[1:]):
         if second != 2 * first:
-            raise ValueError("mesh sizes must double, got %d then %d" % (first, second))
+            raise ValueError("mesh sizes must double, got %s then %s" % (first, second))
     errors = [error(solve(vp, nn)) for nn in n_values]
     for nn, err in zip(n_values, errors):
         if not math.isfinite(err):
@@ -260,7 +261,7 @@ def uniform_sweep(template, eps_grid, n_values, error):
     grid = sorted({tuple(float(e) for e in eps) for eps in eps_grid})
     if not grid:
         raise ValueError("empty eps grid")
-    n_values = [int(v) for v in n_values]
+    n_values = list(n_values)
     problems = []
     for eps in grid:
         try:

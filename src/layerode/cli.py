@@ -5,15 +5,18 @@ the smooth/layer split and certificates), and run convergence studies for
 one parameter choice (converge) or across a parameter grid (sweep).
 
 Exit codes: 0 ok, 1 solve certificate failure, 2 unreadable (also missing)
-or malformed input or a mesh too large for memory, 3 problem validation
-failure, 4 mesh construction failure, 5 requested convergence band not met,
-6 numerical failure (a step's value U_j, right-hand side b_j, matrix M_j
-or product M_j U_j overflowed, which the message names, a step's residual
-was not finite or failed the fixed 1e-12 backward-error guard, a study's
-error was not finite, a closed-form propagator left its bounds, the closed
-form's generator -t E^-1 A, the smooth part's initial value A(0)^-1 f(0)
-or the stability certificate's bound overflowed, or numpy's linear algebra
-reported a singular matrix).
+or malformed input, a usage error or a mesh too large for memory, 3 problem
+validation failure, 4 mesh construction failure, 5 requested convergence
+band not met, 6 numerical failure (a step's value U_j, right-hand side b_j,
+matrix M_j or product M_j U_j overflowed, which the message names, a step's
+residual was not finite or failed the fixed 1e-12 backward-error guard, a
+study's error was not finite, a closed-form propagator left its bounds, the
+closed form's generator -t E^-1 A, the smooth part's initial value
+A(0)^-1 f(0), the layer part's u(0) - A(0)^-1 f(0) or the stability
+certificate's bound overflowed, or numpy's linear algebra reported a
+singular matrix). Every failure leaves through _fail, which prints its one
+stderr line, led by the code's prefix; a usage error is one such line too,
+with no usage block.
 numpy's floating-point warnings are silenced, since each of those failures
 has its exit code. Text and CSV output write numbers with 17 significant
 digits, and --json output with Python's shortest round-trip repr (2.0, not
@@ -53,6 +56,23 @@ EXIT_NUMERICAL = 6
 # layerode.analysis)
 _MEASURES = {"exact": ("exact_oracle", "exact_error"),
              "two_mesh": ("two_mesh", "two_mesh_difference")}
+
+
+def _fail(code, message):
+    """Print a failing exit's one stderr line, message after the prefix of
+    its code, and return the code."""
+    prefix = {EXIT_VALIDATION: "validation error", EXIT_MESH: "mesh error",
+              EXIT_NUMERICAL: "numerical error"}.get(code, "error")
+    print("%s: %s" % (prefix, message), file=sys.stderr)
+    return code
+
+
+class _Parser(argparse.ArgumentParser):
+    """The parser of layerode and its subcommands: a usage error is one
+    stderr line, with no usage block, and exit 2."""
+
+    def error(self, message):
+        sys.exit(_fail(EXIT_PARSE, message))
 
 
 def _numeric(command):
@@ -202,8 +222,7 @@ def _cmd_solve(args):
     lines.append(_csv_line(header))
     _emit(itertools.chain(lines, _table_lines(0, columns)), args.out)
     if not certificates_ok:
-        print("error: a solve certificate failed; see the header comments", file=sys.stderr)
-        return EXIT_CERTIFICATE
+        return _fail(EXIT_CERTIFICATE, "a solve certificate failed; see the header comments")
     return EXIT_OK
 
 
@@ -229,9 +248,8 @@ def _band_gate(rows, band, what):
     worst = min((row.p for row in rows if row.p is not None), default=None)
     if band is None or (worst is not None and worst >= band):
         return EXIT_OK
-    print("error: %s order %s is below the requested band %s"
-          % (what, "absent" if worst is None else _fmt(worst), _fmt(band)), file=sys.stderr)
-    return EXIT_BAND
+    return _fail(EXIT_BAND, "%s order %s is below the requested band %s"
+                 % (what, "absent" if worst is None else _fmt(worst), _fmt(band)))
 
 
 @_numeric
@@ -258,83 +276,64 @@ def _cmd_sweep(args):
     return _band_gate(sweep.uniform, args.min_p_uniform, "robust")
 
 
-def _add_problem_options(sub):
-    sub.add_argument("--problem", required=True, help="problem file (JSON)")
-
-
 def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="layerode",
-        description="Layer-adapted implicit solver for stiff linear ODE systems.",
-    )
+    # Each option that several subcommands share is declared once, on a
+    # parent parser; a subcommand lists its parents, then adds its own.
+    problem, out, as_json, size, study = (_Parser(add_help=False) for _ in range(5))
+    problem.add_argument("--problem", required=True, help="problem file (JSON)")
+    out.add_argument("--out", default=None, help="output path (default stdout)")
+    as_json.add_argument("--json", action="store_true", help="machine-readable output")
+    size.add_argument("--N", required=True, type=int, help="number of mesh intervals")
+    study.add_argument("--N", required=True, type=_int_list,
+                       help="doubling mesh sizes, comma separated")
+    study.add_argument("--mode", choices=_MEASURES, default="two_mesh",
+                       help="error measure (default %(default)s)")
+
+    parser = _Parser(prog="layerode",
+                     description="Layer-adapted implicit solver for stiff linear ODE systems.")
     sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("validate", parents=[problem, as_json],
+                   help="check a problem file and report alpha").set_defaults(func=_cmd_validate)
+    sub.add_parser("mesh", parents=[problem, size, out],
+                   help="emit mesh points and widths as CSV").set_defaults(func=_cmd_mesh)
 
-    p = sub.add_parser("validate", help="check a problem file and report alpha")
-    _add_problem_options(p)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("mesh", help="emit mesh points and widths as CSV")
-    _add_problem_options(p)
-    p.add_argument("--N", required=True, type=int, help="number of mesh intervals")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.set_defaults(func=_cmd_mesh)
-
-    p = sub.add_parser("solve", help="solve and emit the grid as CSV")
-    _add_problem_options(p)
-    p.add_argument("--N", required=True, type=int, help="number of mesh intervals")
+    p = sub.add_parser("solve", parents=[problem, size, out],
+                       help="solve and emit the grid as CSV")
     p.add_argument("--decompose", action="store_true",
                    help="append smooth (V) and layer (W) columns")
     p.add_argument("--certify", action="store_true",
                    help="add nonnegativity and stability certificates to the header")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("converge", help="convergence study for one problem")
-    _add_problem_options(p)
-    p.add_argument("--N", required=True, type=_int_list,
-                   help="doubling mesh sizes, comma separated")
-    p.add_argument("--mode", choices=_MEASURES, default="two_mesh",
-                   help="error measure (default %(default)s)")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
+    p = sub.add_parser("converge", parents=[problem, study, as_json, out],
+                       help="convergence study for one problem")
     p.add_argument("--min-p", type=_band_arg, default=None,
                    help="exit 5 if the smallest observed order is below this")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_converge)
 
-    p = sub.add_parser("sweep", help="convergence studies across a parameter grid")
-    _add_problem_options(p)
-    p.add_argument("--N", required=True, type=_int_list,
-                   help="doubling mesh sizes, comma separated")
-    p.add_argument("--mode", choices=_MEASURES, default="two_mesh",
-                   help="error measure (default %(default)s)")
+    p = sub.add_parser("sweep", parents=[problem, study, as_json, out],
+                       help="convergence studies across a parameter grid")
     p.add_argument("--eps-grid", type=_eps_grid_arg, default="default",
                    help="'default' or groups like '0.015625,0.25;0.0625,1'")
     # Accepted and ignored: sweeps run in one process.
     p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--min-p-uniform", type=_band_arg, default=None,
                    help="exit 5 if the smallest robust order is below this")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_sweep)
-
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error already printed
         return int(exc.code or 0)
     try:
         return args.func(args)
     except ProblemValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _fail(EXIT_VALIDATION, exc)
     except (ProblemFormatError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(EXIT_PARSE, exc)
     except (RuntimeError, ValueError) as exc:
         # MeshError, SolveFailureError and LinAlgError come from numpy-backed
         # modules, imported on the way out
@@ -344,14 +343,11 @@ def main(argv=None):
         from .solver import SolveFailureError
 
         if isinstance(exc, MeshError):
-            print(f"mesh error: {exc}", file=sys.stderr)
-            return EXIT_MESH
+            return _fail(EXIT_MESH, exc)
         if isinstance(exc, (SolveFailureError, LinAlgError)):
-            print(f"numerical error: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
+            return _fail(EXIT_NUMERICAL, exc)
         if isinstance(exc, ValueError):  # OracleUnavailableError among them
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+            return _fail(EXIT_PARSE, exc)
         raise
 
 

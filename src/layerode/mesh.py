@@ -62,6 +62,14 @@ class ShishkinMesh:
 
 
 def _require_valid_N(N, n):
+    """N as an int: it must be an integral number (an int, a numpy integer
+    or an integral float), at least 2 and a multiple of 2^n."""
+    try:
+        integral = int(N) == N
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise MeshError("N=%s is not an integer" % N)
     N = int(N)
     block = 2 ** n
     if N < 2 or N % block != 0:
@@ -80,24 +88,24 @@ def _counts(N, n):
 def _checked_mesh(points, sigmas, bits, max_step=math.inf):
     """The mesh on points (0 to T, with pieces of _counts intervals joined
     at sigmas), after naming the first piece whose points repeat or, where
-    none does, the first whose step exceeds max_step. Where a piece's width
-    per interval is subnormal, linspace or a midpoint rounds its step, to 0
-    or up, and the piece may fail this way."""
+    none does, the first whose step exceeds max_step (build_mesh's 2T/N);
+    the message ends in the cause. Where a piece's width per interval is
+    subnormal, linspace or a midpoint rounds its step, to 0 or up, and the
+    piece may fail this way."""
     N, n = len(points) - 1, len(sigmas)
     counts = _counts(N, n)
     deltas = np.diff(points)
-    bad = np.flatnonzero(deltas <= 0.0)
+    bad, cause = np.flatnonzero(deltas <= 0.0), "their width underflows"
     if not bad.size:
-        bad = np.flatnonzero(deltas > max_step)
+        bad, cause = np.flatnonzero(deltas > max_step), "their step rounds wider than 2T/N"
     if bad.size:
         k = int(np.searchsorted(np.cumsum(counts), bad[0], side="right"))
         bounds = (0.0, *sigmas, float(points[-1]))
         names = ["0"] + ["sigma_%d" % (i + 1) for i in range(n)] + ["T"]
         raise MeshError(
-            "the %spiece [%s, %s] is %r wide, too narrow for %d intervals: "
-            "their width underflows"
+            "the %spiece [%s, %s] is %r wide, too narrow for %d intervals: %s"
             % ("first " if k == 0 else "", names[k], names[k + 1],
-               bounds[k + 1] - bounds[k], counts[k])
+               bounds[k + 1] - bounds[k], counts[k], cause)
         )
     points.setflags(write=False)
     deltas.setflags(write=False)
@@ -112,7 +120,8 @@ def build_mesh(vp, N):
     sigma_i = min(sigma_{i+1}/2, (eps_i/alpha) ln N). Bit b_i = 0 records the
     halving branch (ties count as halving), b_i = 1 the layer-width branch.
     The n+1 uniform pieces get N/2^n, N/2^(n-i+1) (i = 1 .. n-1) and N/2
-    intervals. N must be a multiple of 2^n; anything else raises MeshError,
+    intervals. N must be an integral multiple of 2^n, at least 2; anything
+    else raises MeshError,
     as does a piece too narrow for its intervals to be told apart: one
     whose points repeat, or whose step rounds wider than 2T/N.
     """

@@ -268,14 +268,16 @@ def decompose(vp, mesh):
     same A, eps, T and alpha, which validate derives from A, eps and T
     alone) from the remainder u(0) - A(0)^-1 f(0), and its grid carries
     that twin. By linearity the parts add up to the full solution to
-    rounding; nothing is subtracted from a computed grid. A reduced initial
-    value that overflows raises SolveFailureError.
+    rounding; nothing is subtracted from a computed grid. A start of either
+    part that overflows raises SolveFailureError.
     """
     spec = vp.spec
     v0 = np.linalg.solve(sample_A(spec, 0.0)[0], sample_f(spec, 0.0)[0])
-    if not np.isfinite(v0).all():
-        raise SolveFailureError("reduced initial value A(0)^-1 f(0) is not finite")
     w0 = np.asarray(spec.u0, dtype=float) - v0
+    for start, name in ((v0, "reduced initial value A(0)^-1 f(0)"),
+                        (w0, "layer part's initial value u(0) - A(0)^-1 f(0)")):
+        if not np.isfinite(start).all():
+            raise SolveFailureError(name + " is not finite")
     zero_f = ValidatedProblem(replace(spec, f=((0.0,),) * spec.n), vp.alpha)
     smooth = march(vp, mesh, v0)
     singular = march(zero_f, mesh, w0)

@@ -18,7 +18,7 @@ from layerode.analysis import (
     two_mesh_difference,
     uniform_sweep,
 )
-from layerode.mesh import build_mesh, bisect_mesh
+from layerode.mesh import MeshError, build_mesh, bisect_mesh
 from layerode.problem import validate
 from layerode.solver import SolveFailureError, march, solve
 
@@ -172,6 +172,21 @@ def test_convergence_study_validates_input():
         uniform_sweep(vp.spec, [], [16, 32], two_mesh_difference)
     with pytest.raises(OracleUnavailableError):
         convergence_study(validate(cases.variable_three_scale()), [16, 32], exact_error)
+
+
+def test_non_integral_mesh_sizes_are_rejected():
+    # a size is never truncated, so 64.9 is not 64; integral floats and
+    # numpy integers are the sizes they equal
+    vp = validate(cases.constant_two_scale())
+    with pytest.raises(MeshError, match=r"^N=64.9 is not an integer$"):
+        solve(vp, 64.9)
+    with pytest.raises(MeshError, match=r"^N=64.4 is not an integer$"):
+        convergence_study(vp, [64.4, 128.8], two_mesh_difference)
+    with pytest.raises(MeshError, match=r"^N=64.4 is not an integer$"):
+        uniform_sweep(vp.spec, [vp.spec.eps], [64.4, 128.8], two_mesh_difference)
+    report = convergence_study(vp, [np.int64(16), 32.0], two_mesh_difference)
+    assert report == convergence_study(vp, [16, 32], two_mesh_difference)
+    assert [type(row.N) for row in report.rows] == [int, int]
 
 
 def test_convergence_study_rejects_non_finite_error():

@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, CSV shape and byte-level determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -27,6 +28,7 @@ from layerode.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VALIDATION,
+    _build_parser,
     _csv_line,
     _fmt,
     main,
@@ -132,8 +134,8 @@ def test_step_rounded_wider_than_2T_over_N_exits_4(tmp_path, capsys):
                                 "A": [[2.0]], "f": [0.0]}), encoding="utf-8")
     assert main(["mesh", "--problem", str(path), "--N", "56"]) == EXIT_MESH
     assert capsys.readouterr() == ("", "mesh error: the first piece [0, sigma_1] is 1.03e-321 "
-                                       "wide, too narrow for 28 intervals: their width "
-                                       "underflows\n")
+                                       "wide, too narrow for 28 intervals: their step "
+                                       "rounds wider than 2T/N\n")
 
 
 def test_two_mesh_study_names_a_bisected_piece(tmp_path, capsys):
@@ -571,6 +573,10 @@ OVERFLOWING_GENERATOR = {"n": 2, "T": 1.0, "eps": [1e-300, 1e-200], "u0": [0, 0]
                          "A": [[1e10, -1], [-1, 1e10]], "f": [1, 1]}
 OVERFLOWING_REDUCED_VALUE = {"n": 1, "T": 2e10, "eps": [1.0], "u0": [0],
                              "A": [[[1e-10, 1.0]]], "f": [1e300]}
+# u0 and A(0)^-1 f(0) = -2e307 are finite, but the layer part's initial
+# value u0 - A(0)^-1 f(0) = 1.9e308 is not
+OVERFLOWING_LAYER_START = {"n": 1, "T": 2.0, "eps": [0.25], "u0": [1.7e308],
+                           "A": [[0.5]], "f": [-1e307]}
 OVERFLOWING_STABILITY_BOUND = {"n": 1, "T": 1.0, "eps": [1e-210], "u0": [0],
                                "A": [[[1e-200, 1.0]]], "f": [1e200]}
 # u tends to f / A = 3.4e308, beyond double range
@@ -639,6 +645,8 @@ NON_FINITE_CASES = [
      "numerical error: closed-form generator -t E^-1 A is not finite (row norm nan)\n"),
     (OVERFLOWING_REDUCED_VALUE, ["solve", "--N", "16", "--decompose"], EXIT_NUMERICAL,
      "numerical error: reduced initial value A(0)^-1 f(0) is not finite\n"),
+    (OVERFLOWING_LAYER_START, ["solve", "--N", "4", "--decompose"], EXIT_NUMERICAL,
+     "numerical error: layer part's initial value u(0) - A(0)^-1 f(0) is not finite\n"),
     (OVERFLOWING_STABILITY_BOUND, ["solve", "--N", "16", "--certify"], EXIT_NUMERICAL,
      "numerical error: stability bound max(|U(0)|, |f| / alpha) is not finite\n"),
     (OVERFLOWING_SOLUTION, ["solve", "--N", "8"], EXIT_NUMERICAL,
@@ -661,6 +669,7 @@ NON_FINITE_CASES = [
 @pytest.mark.parametrize("data,args,code,err", NON_FINITE_CASES,
                          ids=["overflowing_u0", "overflowing_A",
                               "overflowing_generator", "overflowing_reduced_value",
+                              "overflowing_layer_start",
                               "overflowing_stability_bound", "overflowing_solution",
                               "overflowing_right_hand_side", "overflowing_step_matrix",
                               "overflowing_product", "underflowing_map"])
@@ -677,9 +686,10 @@ def test_non_finite_values_fail_closed(tmp_path, capsys, data, args, code, err):
     (OVERFLOWING_GENERATOR, ["solve", "--N", "16"]),
     (OVERFLOWING_GENERATOR, ["converge", "--N", "128,256"]),
     (OVERFLOWING_REDUCED_VALUE, ["solve", "--N", "16"]),
+    (OVERFLOWING_LAYER_START, ["solve", "--N", "4"]),
     (OVERFLOWING_STABILITY_BOUND, ["solve", "--N", "16"]),
 ], ids=["generator_solve", "generator_two_mesh", "reduced_value_solve",
-        "stability_bound_solve"])
+        "layer_start_solve", "stability_bound_solve"])
 def test_overflows_outside_a_command_leave_it_working(tmp_path, capsys, data, args):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -703,19 +713,69 @@ def test_cancelling_entries_validate_exactly(tmp_path, capsys):
     assert captured.err == ""
 
 
-@pytest.mark.parametrize("args", [
-    ["mesh", "--N", "x"],
-    ["converge", "--N", "16,x"],
-    ["converge", "--N", ","],
-    ["sweep", "--N", "16,32", "--eps-grid", "0.1,a"],
-    ["converge", "--N", "16,32", "--min-p", "zz"],
-], ids=["N", "N_list", "N_empty", "eps_grid", "min_p"])
-def test_malformed_option_text_exits_2(capsys, args):
+# (arguments around --problem FILE, start of the one stderr line)
+@pytest.mark.parametrize("args,err", [
+    (["mesh", "--N", "x"], "error: argument --N: invalid int value: 'x'"),
+    (["converge", "--N", "16,x"], "error: argument --N: not a comma-separated integer list"),
+    (["converge", "--N", ","], "error: argument --N: empty mesh size list"),
+    (["sweep", "--N", "16,32", "--eps-grid", "0.1,a"], "error: argument --eps-grid: "),
+    (["converge", "--N", "16,32", "--min-p", "zz"], "error: argument --min-p: not a number"),
+    (["mesh"], "error: the following arguments are required: --N\n"),
+    (["mesh", "--N", "16", "--plot"], "error: unrecognized arguments: --plot\n"),
+    (["plot"], "error: argument command: invalid choice: 'plot'"),
+], ids=["N", "N_list", "N_empty", "eps_grid", "min_p", "missing_N", "unknown_option",
+        "unknown_command"])
+def test_malformed_option_text_exits_2(capsys, args, err):
+    # a usage error is one line, without argparse's usage block
     source = cases.PROBLEMS / "constant_two_scale.json"
     assert main([args[0], "--problem", str(source)] + args[1:]) == EXIT_PARSE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: argument --" in captured.err
+    assert captured.err.startswith(err)
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+# Each subcommand's options: flag -> (required, type, default, choices),
+# with type the name of the converter, "flag" for a store_true option.
+STUDY_OPTIONS = {
+    "--problem": (True, None, None, None),
+    "--N": (True, "_int_list", None, None),
+    "--mode": (False, None, "two_mesh", ["exact", "two_mesh"]),
+    "--json": (False, "flag", False, None),
+    "--out": (False, None, None, None),
+}
+OPTIONS = {
+    "validate": {"--problem": (True, None, None, None), "--json": (False, "flag", False, None)},
+    "mesh": {"--problem": (True, None, None, None), "--N": (True, "int", None, None),
+             "--out": (False, None, None, None)},
+    "converge": {**STUDY_OPTIONS, "--min-p": (False, "_band_arg", None, None)},
+    "sweep": {**STUDY_OPTIONS, "--min-p-uniform": (False, "_band_arg", None, None),
+              "--eps-grid": (False, "_eps_grid_arg", "default", None),
+              "--jobs": (False, "int", 1, None)},
+}
+OPTIONS["solve"] = {**OPTIONS["mesh"], "--decompose": (False, "flag", False, None),
+                    "--certify": (False, "flag", False, None)}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_each_subcommand_keeps_its_options(capsys, command):
+    subparsers = next(action for action in _build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    options = {}
+    for action in subparsers.choices[command]._actions:
+        flag = action.option_strings[-1]
+        if flag == "--help":
+            continue
+        kind = "flag" if action.nargs == 0 else getattr(action.type, "__name__", None)
+        choices = None if action.choices is None else sorted(action.choices)
+        options[flag] = (action.required, kind, action.default, choices)
+    assert options == OPTIONS[command]
+    # --help lists every option but --jobs, which is accepted and ignored
+    assert main([command, "--help"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: layerode %s " % command) and err == ""
+    assert [flag for flag in OPTIONS[command] if flag not in out] == (
+        ["--jobs"] if command == "sweep" else [])
 
 
 @pytest.mark.parametrize("command", ["mesh", "solve"])
@@ -1009,5 +1069,9 @@ def test_random_problems_keep_the_exit_contract(tmp_path, capsys):
     path = tmp_path / "problem.json"
     codes = set()
     for _ in range(200):
-        codes.update(_assert_contract(path, _contract_draw(rng), capsys))
+        data = _contract_draw(rng)
+        draw_codes = _assert_contract(path, data, capsys)
+        # a file that validates is well formed: no later command calls it malformed
+        assert draw_codes[0] != EXIT_OK or EXIT_PARSE not in draw_codes, (draw_codes, data)
+        codes.update(draw_codes)
     assert EXIT_OK in codes and EXIT_VALIDATION in codes, codes

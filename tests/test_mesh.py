@@ -50,10 +50,18 @@ def test_piece_widths_two_scales():
 
 
 def test_unusable_n_rejected():
+    vp = cases.scaled_identity((0.25, 0.5), 1.0, 1.0)
     with pytest.raises(MeshError, match="k a positive integer"):
-        build_mesh(cases.scaled_identity((0.25, 0.5), 1.0, 1.0), 6)
+        build_mesh(vp, 6)
     with pytest.raises(MeshError):
         build_mesh(cases.scaled_identity((1.0,), 1.0, 2.0), 0)
+    for N in (8.5, math.nan, math.inf):
+        with pytest.raises(MeshError, match=r"^N=%s is not an integer$" % N):
+            build_mesh(vp, N)
+    for N in (8.0, np.int64(8)):
+        mesh = build_mesh(vp, N)
+        assert type(mesh.N) is int
+        assert np.array_equal(mesh.points, build_mesh(vp, 8).points)
 
 
 def test_underflowing_first_piece_named():
@@ -91,7 +99,8 @@ def test_subnormal_first_pieces_build_or_are_named():
 
 
 NAMED_PIECE = re.compile(r"the (first )?piece \[(0|sigma_\d), (sigma_\d|T)\] is \S+ wide, "
-                         r"too narrow for \d+ intervals: their width underflows")
+                         r"too narrow for \d+ intervals: "
+                         r"their (width underflows|step rounds wider than 2T/N)")
 
 
 def test_step_rounded_wider_than_2T_over_N_is_named():
@@ -100,7 +109,7 @@ def test_step_rounded_wider_than_2T_over_N_is_named():
     # last, past 2T/N = 14.9 of them
     vp = cases.scaled_identity((2.055e-321,), 2.0, 2.055e-321)
     message = (r"^the first piece \[0, sigma_1\] is 1.03e-321 wide, too narrow for 28 "
-               "intervals: their width underflows$")
+               "intervals: their step rounds wider than 2T/N$")
     with pytest.raises(MeshError, match=message):
         build_mesh(vp, 56)
 

@@ -9,7 +9,7 @@ import pytest
 
 import cases
 from layerode.mesh import ShishkinMesh, build_mesh
-from layerode.problem import sample_A, sample_f, validate
+from layerode.problem import problem_from_dict, sample_A, sample_f, validate
 from layerode.solver import (
     SolveFailureError,
     certify,
@@ -278,6 +278,18 @@ def test_decomposition_initial_split():
     v0 = np.linalg.solve(sample_A(vp.spec, 0.0)[0], sample_f(vp.spec, 0.0)[0])
     assert np.array_equal(parts.smooth.values[0], v0)
     assert np.array_equal(parts.singular.values[0], np.array(vp.spec.u0) - v0)
+
+
+def test_overflowing_layer_start_is_a_solve_failure():
+    # u0 and A(0)^-1 f(0) = -2e307 are finite, their difference 1.9e308 is not
+    vp = validate(problem_from_dict({"n": 1, "T": 2.0, "eps": [0.25], "u0": [1.7e308],
+                                     "A": [[0.5]], "f": [-1e307]}))
+    mesh = build_mesh(vp, 4)
+    message = r"^layer part's initial value u\(0\) - A\(0\)\^-1 f\(0\) is not finite$"
+    with np.errstate(all="ignore"):
+        march(vp, mesh, vp.spec.u0)
+        with pytest.raises(SolveFailureError, match=message):
+            decompose(vp, mesh)
 
 
 @pytest.mark.parametrize("name,spec", cases.suite())
