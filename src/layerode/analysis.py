@@ -19,9 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .mesh import bisect_mesh
-from .problem import (ProblemFormatError, ProblemValidationError, sample_A, sample_f,
-                      validate)
-from .solver import SolveFailureError, march, solve
+from .problem import ProblemFormatError, ProblemValidationError, sample_A, validate
+from .solver import SolveFailureError, _split_start, march, solve
 
 __all__ = [
     "OracleUnavailableError",
@@ -60,8 +59,9 @@ def exact_constant_solution(spec, ts):
     1e-16 relative. All times share one squaring count, set by the
     largest row norm of the stack of generators -t E^-1 A, so the
     smaller times are overscaled (Al-Mohy & Higham, SIAM J. Matrix Anal.
-    Appl. 31, 2009). A generator with a non-finite row norm (E^-1 A
-    overflows at tiny eps) raises SolveFailureError.
+    Appl. 31, 2009). A start A^-1 f or u(0) - A^-1 f that overflows, named
+    as decompose names it, or a generator with a non-finite row norm
+    (E^-1 A overflows at tiny eps) raises SolveFailureError.
 
     For a problem that validate accepts, -E^-1 A has nonnegative
     off-diagonal entries and E^-1 A positive row sums, so every exact
@@ -81,8 +81,8 @@ def exact_constant_solution(spec, ts):
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if not (np.isfinite(ts) & (ts >= 0.0)).all():
         raise ValueError("times must be finite and nonnegative")
+    steady, start = _split_start(spec)
     a = sample_A(spec, 0.0)[0]
-    steady = np.linalg.solve(a, sample_f(spec, 0.0)[0])
     gens = -ts[:, None, None] * (a / np.asarray(spec.eps)[:, None])
     norm = float(np.abs(gens).sum(axis=-1).max(initial=0.0))
     if not math.isfinite(norm):
@@ -107,7 +107,7 @@ def exact_constant_solution(spec, ts):
         raise SolveFailureError(
             "closed-form propagator at t=%.6g leaves its bounds by %.3e" % (ts[k], excess[k])
         )
-    return steady + exps @ (np.asarray(spec.u0, dtype=float) - steady)
+    return steady + exps @ start
 
 
 def exact_error(grid):

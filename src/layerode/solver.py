@@ -1,13 +1,13 @@
 """Implicit time marching with monotone step systems.
 
 Step j solves (E/delta_j + A(t_j)) U_j = f(t_j) + (E/delta_j) U_{j-1}, with
-A and f from sample_A and sample_f on all step times at once; the layer part
-of decompose is the same march on the problem's zero-forcing twin. Step
+A and f from sample_A and sample_f on all step times at once; decompose
+marches the problem and its zero-forcing twin on the same step maps. Step
 matrices inherit positive diagonals, nonpositive off-diagonal entries and
 strict row dominance from A(t), so every step is a monotone
-(inverse-nonnegative) solve. march cuts the steps into chunks, and
+(inverse-nonnegative) solve. _march cuts the steps into chunks, and
 _march_chunk turns a chunk's steps into affine maps laid out in the block
-shape of the scan that _affine_recurrence runs on them.
+shape of the scan that _affine_recurrence runs on them for every start.
 certify, at the bottom of this module, checks the two consequences of the
 monotone structure on a computed grid: preservation of nonnegative data and
 the maximum-norm stability bound.
@@ -80,18 +80,19 @@ class Certificate:
     stability_ok: bool
 
 
-def _affine_recurrence(s, c, out):
+def _affine_recurrence(s, cs, outs):
     """Run U_j = P_j U_{j-1} + q_j from U_0 = out[0], writing U_j into
-    out[j] for j = 1 .. N, as a blocked scan over K blocks of B steps.
+    out[j] for j = 1 .. N, for each offsets c in cs and grid out in outs,
+    as a blocked scan over K blocks of B steps.
 
-    s holds the maps and c the offsets in block shape, (K, B, n, n) and
+    s holds the maps and each c its offsets in block shape, (K, B, n, n) and
     (K, B, n), with P_j and q_j at flat step j - 1; entries past step N are
     identity maps and zero offsets, which change nothing exactly (I S = S
-    and I c + 0 = c). Both are overwritten. Within every block the prefix
+    and I c + 0 = c). All are overwritten. Within every block the prefix
     maps U -> S_i U + c_i are composed in place, vectorized across blocks
-    in B - 1 iterations. The block ends are then carried across the
-    blocks, one iteration per block, and each block's prefix maps are
-    applied to its start value in one batched product.
+    in B - 1 iterations, the maps once for all grids. Each grid's block ends
+    are carried across the blocks, one iteration per block, and each block's
+    prefix maps applied to its start value in one batched product.
 
     When P_j is nonnegative with row sums at most one, as in a march, every
     composed map is a nonnegative contraction and the error stays relative
@@ -102,22 +103,26 @@ def _affine_recurrence(s, c, out):
     the result is u bit for bit, as marching step by step gives; composed
     maps would round it.
     """
-    K, B, n = c.shape
-    u = out[0]
-    if (np.einsum("kbij,j->kbi", s, u) + c == u).all():
-        out[1:] = u
-        return
+    K, B, n = s.shape[:3]
+    runs = []
+    for c, out in zip(cs, outs):
+        if (np.einsum("kbij,j->kbi", s, out[0]) + c == out[0]).all():
+            out[1:] = out[0]
+        else:
+            runs.append((c, out))
 
     for i in range(1, B):
         # S_i = P_i S_{i-1} in place of P_i, c_i = P_i c_{i-1} + q_i
-        c[:, i] += np.einsum("kij,kj->ki", s[:, i], c[:, i - 1])
+        for c, _ in runs:
+            c[:, i] += np.einsum("kij,kj->ki", s[:, i], c[:, i - 1])
         np.matmul(s[:, i], s[:, i - 1], out=s[:, i])
-    starts = np.empty((K, n))
-    starts[0] = u
-    for k in range(K - 1):
-        starts[k + 1] = s[k, -1] @ starts[k] + c[k, -1]
-    c += np.einsum("kbij,kj->kbi", s, starts)
-    out[1:] = c.reshape(K * B, n)[:len(out) - 1]
+    for c, out in runs:
+        starts = np.empty((K, n))
+        starts[0] = out[0]
+        for k in range(K - 1):
+            starts[k + 1] = s[k, -1] @ starts[k] + c[k, -1]
+        c += np.einsum("kbij,kj->kbi", s, starts)
+        out[1:] = c.reshape(K * B, n)[:len(out) - 1]
 
 
 def _max_norms(x):
@@ -128,7 +133,7 @@ def _max_norms(x):
 
 
 def march(vp, mesh, u_init):
-    """Backward time march over a mesh.
+    """Backward time march over a mesh (decompose runs it for two starts at once).
 
     The N steps are marched in chunks of max(2048, ceil(N/8)) steps (at
     most 8 chunks, and one chunk when N <= 2048), each from the last value
@@ -160,7 +165,12 @@ def march(vp, mesh, u_init):
     SolutionGrid
         Bound to vp and mesh.
     """
-    spec = vp.spec
+    return _march([(vp, u_init)], mesh)[0]
+
+
+def _march(runs, mesh):
+    """march for each (problem, start) pair in runs, sharing A, eps and T."""
+    spec = runs[0][0].spec
     n = spec.n
     if mesh.n != n:
         raise ValueError(
@@ -170,25 +180,27 @@ def march(vp, mesh, u_init):
         raise ValueError(
             "mesh horizon %r does not match problem horizon %r" % (mesh.T, spec.T)
         )
-    u = np.array(u_init, dtype=float).reshape(-1)
-    if u.shape != (n,) or not np.isfinite(u).all():
-        raise ValueError("initial value must be a finite vector of length %d" % n)
-
     N = mesh.N
-    values = np.empty((N + 1, n))
-    values[0] = u
+    grids = []
+    for vp, u_init in runs:
+        u = np.array(u_init, dtype=float).reshape(-1)
+        if u.shape != (n,) or not np.isfinite(u).all():
+            raise ValueError("initial value must be a finite vector of length %d" % n)
+        grids.append(SolutionGrid(problem=vp, mesh=mesh, values=np.empty((N + 1, n))))
+        grids[-1].values[0] = u
     # Each chunk pays for its own scan iterations, so a long march takes at
     # most 8 chunks; a march of up to 2048 steps is one chunk.
     C = max(2048, -(-N // 8))
     for lo in range(0, N, C):
-        _march_chunk(vp, mesh, lo, min(lo + C, N), values)
-    values.setflags(write=False)
-    return SolutionGrid(problem=vp, mesh=mesh, values=values)
+        _march_chunk(grids, lo, min(lo + C, N))
+    for grid in grids:
+        grid.values.setflags(write=False)
+    return grids
 
 
-def _march_chunk(vp, mesh, lo, hi, values):
-    """March steps lo+1 .. hi from values[lo] into values[lo+1 .. hi] and
-    check their residuals.
+def _march_chunk(grids, lo, hi):
+    """March steps lo+1 .. hi of every grid from its values[lo] into its
+    values[lo+1 .. hi] and check their residuals, grid by grid.
 
     The L = hi - lo steps are laid out in the scan's block shape: K blocks
     of B = isqrt(L) steps, K = ceil(L / B), so K B - L < B steps pad the
@@ -197,12 +209,13 @@ def _march_chunk(vp, mesh, lo, hi, values):
     the guard keeps and which is inverted in one batched call; inv(I) is
     exactly I, so the inverses come out padded too. Each step becomes the
     affine map U_j = P_j U_{j-1} + q_j with P_j = M_j^-1 diag(eps)/delta_j
-    in place of the inverses and q_j = M_j^-1 f(t_j) in a zero-padded
-    (K B, n) array, and _affine_recurrence runs the scan on them. The maps
-    are dropped before the guard, so at most two stacks of the chunk are
-    live at once.
+    in place of the inverses and, for each grid, q_j = M_j^-1 f(t_j) of its
+    own problem in a zero-padded (K B, n) array, and _affine_recurrence
+    runs the scan on them. diag(eps)/delta_j is dropped for the scan and
+    recomputed for each guard, and the maps and offsets before the guards,
+    so at most two stacks of the chunk are live at once.
     """
-    spec = vp.spec
+    spec, mesh = grids[0].problem.spec, grids[0].mesh
     n, L = spec.n, hi - lo
     B = math.isqrt(L)
     K = -(-L // B)
@@ -219,39 +232,40 @@ def _march_chunk(vp, mesh, lo, hi, values):
     del m_abs
     p = np.linalg.inv(m)
     m = m[:L]
-    f = sample_f(spec, mesh.points[lo + 1:hi + 1])
-    q = np.zeros((K * B, n))
-    np.einsum("jik,jk->ji", p[:L], f, out=q[:L])
+    fs = [sample_f(grid.problem.spec, mesh.points[lo + 1:hi + 1]) for grid in grids]
+    qs = [np.zeros((K, B, n)) for _ in grids]
+    for f, q in zip(fs, qs):
+        np.einsum("jik,jk->ji", p[:L], f, out=q.reshape(K * B, n)[:L])
     p[:L] *= ed[:, None, :]
-    out = values[lo:hi + 1]
-    _affine_recurrence(p.reshape(K, B, n, n), q.reshape(K, B, n), out)
-    del p, q
-
-    b = ed * out[:-1]
-    b += f
-    del ed, f
-    residual = np.einsum("jik,jk->ji", m, out[1:])
-    residual -= b
-    residual = _max_norms(residual)
-    tol = STEP_RESIDUAL_RTOL * (1.0 + _max_norms(b) + m_norms * _max_norms(out[1:]))
-    # A non-finite U_j, b_j, M_j or M_j U_j gives a non-finite residual,
-    # which fails even where the tolerance is infinite too; so does a nan
-    # tolerance. The data are finite, so a non-finite term is an overflow,
-    # and the first of them is named.
-    failed = np.flatnonzero(~(np.isfinite(residual) & (residual <= tol)))
-    if failed.size:
-        j = int(failed[0])
-        terms = [("solution", "U_j", out[j + 1]),
-                 ("right-hand side", "b_j = eps/delta_j U_(j-1) + f(t_j)", b[j]),
-                 ("step matrix", "M_j = diag(eps)/delta_j + A(t_j)", m[j]),
-                 ("product", "M_j U_j", m[j] @ out[j + 1])]
-        for name, term, value in terms:
-            if not np.isfinite(value).all():
-                raise SolveFailureError("step %d %s is not finite: %s overflows double range"
-                                        % (lo + j + 1, name, term))
-        raise SolveFailureError(
-            "step %d solve residual %.3e exceeds tolerance" % (lo + j + 1, residual[j])
-        )
+    del ed
+    outs = [grid.values[lo:hi + 1] for grid in grids]
+    _affine_recurrence(p.reshape(K, B, n, n), qs, outs)
+    del p, qs
+    for out in outs:
+        b = fs.pop(0)
+        b += np.asarray(spec.eps) / mesh.deltas[lo:hi, None] * out[:-1]
+        residual = np.einsum("jik,jk->ji", m, out[1:])
+        residual -= b
+        residual = _max_norms(residual)
+        tol = STEP_RESIDUAL_RTOL * (1.0 + _max_norms(b) + m_norms * _max_norms(out[1:]))
+        # A non-finite U_j, b_j, M_j or M_j U_j gives a non-finite residual,
+        # which fails even where the tolerance is infinite too; so does a nan
+        # tolerance. The data are finite, so a non-finite term is an overflow,
+        # and the first of them is named.
+        failed = np.flatnonzero(~(np.isfinite(residual) & (residual <= tol)))
+        if failed.size:
+            j = int(failed[0])
+            terms = [("solution", "U_j", out[j + 1]),
+                     ("right-hand side", "b_j = eps/delta_j U_(j-1) + f(t_j)", b[j]),
+                     ("step matrix", "M_j = diag(eps)/delta_j + A(t_j)", m[j]),
+                     ("product", "M_j U_j", m[j] @ out[j + 1])]
+            for name, term, value in terms:
+                if not np.isfinite(value).all():
+                    raise SolveFailureError("step %d %s is not finite: %s overflows double range"
+                                            % (lo + j + 1, name, term))
+            raise SolveFailureError(
+                "step %d solve residual %.3e exceeds tolerance" % (lo + j + 1, residual[j])
+            )
 
 
 def solve(vp, N):
@@ -264,24 +278,31 @@ def decompose(vp, mesh):
     """Split the discrete solution into smooth and layer parts.
 
     The smooth part marches the problem from the reduced initial value
-    A(0)^-1 f(0); the layer part marches its zero-forcing twin (f = 0, the
-    same A, eps, T and alpha, which validate derives from A, eps and T
-    alone) from the remainder u(0) - A(0)^-1 f(0), and its grid carries
-    that twin. By linearity the parts add up to the full solution to
-    rounding; nothing is subtracted from a computed grid. A start of either
-    part that overflows raises SolveFailureError.
+    A(0)^-1 f(0) and the layer part, in the same march on the same step
+    maps, its zero-forcing twin (f = 0, the same A, eps, T and alpha, which
+    validate derives from A, eps and T alone) from the remainder
+    u(0) - A(0)^-1 f(0); its grid carries that twin. By linearity the parts
+    add up to the full solution to rounding; nothing is subtracted from a
+    computed grid. A start of either part that overflows raises
+    SolveFailureError, and a mesh that march rejects ValueError.
     """
     spec = vp.spec
+    v0, w0 = _split_start(spec)
+    zero_f = ValidatedProblem(replace(spec, f=((0.0,),) * spec.n), vp.alpha)
+    smooth, singular = _march([(vp, v0), (zero_f, w0)], mesh)
+    return DecomposedSolution(smooth=smooth, singular=singular)
+
+
+def _split_start(spec):
+    """The starts A(0)^-1 f(0) and u(0) - A(0)^-1 f(0) of decompose's two
+    parts; one that overflows raises SolveFailureError, naming it."""
     v0 = np.linalg.solve(sample_A(spec, 0.0)[0], sample_f(spec, 0.0)[0])
     w0 = np.asarray(spec.u0, dtype=float) - v0
     for start, name in ((v0, "reduced initial value A(0)^-1 f(0)"),
                         (w0, "layer part's initial value u(0) - A(0)^-1 f(0)")):
         if not np.isfinite(start).all():
             raise SolveFailureError(name + " is not finite")
-    zero_f = ValidatedProblem(replace(spec, f=((0.0,),) * spec.n), vp.alpha)
-    smooth = march(vp, mesh, v0)
-    singular = march(zero_f, mesh, w0)
-    return DecomposedSolution(smooth=smooth, singular=singular)
+    return v0, w0
 
 
 def certify(grid):

@@ -647,6 +647,8 @@ NON_FINITE_CASES = [
      "numerical error: reduced initial value A(0)^-1 f(0) is not finite\n"),
     (OVERFLOWING_LAYER_START, ["solve", "--N", "4", "--decompose"], EXIT_NUMERICAL,
      "numerical error: layer part's initial value u(0) - A(0)^-1 f(0) is not finite\n"),
+    (OVERFLOWING_LAYER_START, ["converge", "--mode", "exact", "--N", "4,8"], EXIT_NUMERICAL,
+     "numerical error: layer part's initial value u(0) - A(0)^-1 f(0) is not finite\n"),
     (OVERFLOWING_STABILITY_BOUND, ["solve", "--N", "16", "--certify"], EXIT_NUMERICAL,
      "numerical error: stability bound max(|U(0)|, |f| / alpha) is not finite\n"),
     (OVERFLOWING_SOLUTION, ["solve", "--N", "8"], EXIT_NUMERICAL,
@@ -669,7 +671,7 @@ NON_FINITE_CASES = [
 @pytest.mark.parametrize("data,args,code,err", NON_FINITE_CASES,
                          ids=["overflowing_u0", "overflowing_A",
                               "overflowing_generator", "overflowing_reduced_value",
-                              "overflowing_layer_start",
+                              "overflowing_layer_start", "overflowing_oracle_start",
                               "overflowing_stability_bound", "overflowing_solution",
                               "overflowing_right_hand_side", "overflowing_step_matrix",
                               "overflowing_product", "underflowing_map"])

@@ -239,20 +239,41 @@ def test_march_holds_at_most_two_step_stacks(name, spec):
 @pytest.mark.parametrize("name,spec", cases.suite())
 def test_march_holds_two_step_stacks_of_one_chunk(name, spec):
     # At N = 2^16 a chunk is 2^16 / 8 = 8192 steps, padded to the scan's 92
-    # blocks of 90 = 8280. The bound allows the (N+1, n) grid, and per chunk
-    # the two stacks of 8280 steps and eight arrays of 8280 rows of n: the
-    # per-step n^2 term is about an eighth of two whole-march stacks.
+    # blocks of 90 = 8280. The bound allows the (N+1, n) grid of each part,
+    # and per chunk the two stacks of 8280 steps and eight arrays of 8280
+    # rows of n: the per-step n^2 term is about an eighth of two
+    # whole-march stacks. decompose marches both parts on one set of stacks.
     vp = validate(spec)
     n, N, steps = spec.n, 2 ** 16, 8280
     mesh = build_mesh(vp, N)
-    march(vp, build_mesh(vp, 16), spec.u0)  # numpy's lazy set-up, untraced
-    tracemalloc.start()
-    try:
-        march(vp, mesh, spec.u0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= ((N + 1) * n + steps * (2 * n * n + 8 * n)) * 8
+    decompose(vp, build_mesh(vp, 16))  # numpy's lazy set-up, untraced
+    for grids, run in ((1, lambda: march(vp, mesh, spec.u0)), (2, lambda: decompose(vp, mesh))):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (grids * (N + 1) * n + steps * (2 * n * n + 8 * n)) * 8, grids
+
+
+def test_decompose_inverts_each_chunk_once(monkeypatch):
+    # N = 2^14 + 8 marches in 8 chunks of 2049 steps; decompose shares each
+    # chunk's inverted step matrices between its two parts.
+    vp = validate(cases.variable_three_scale())
+    mesh = build_mesh(vp, 2 ** 14 + 8)
+    inv, calls = np.linalg.inv, []
+
+    def counted(a):
+        calls.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    march(vp, mesh, vp.spec.u0)
+    assert calls == [(2070, 3, 3)] * 8  # 2049 steps padded to 46 blocks of 45
+    calls.clear()
+    decompose(vp, mesh)
+    assert calls == [(2070, 3, 3)] * 8
 
 
 def test_non_finite_forcing_in_a_later_chunk_names_its_step(monkeypatch):
@@ -394,6 +415,11 @@ def test_march_rejects_foreign_mesh():
     tinier = build_mesh(cases.scaled_identity((1e-15,), 1.0, 1e-13), 16)
     with pytest.raises(ValueError, match="horizon"):
         march(tiny, tinier, (1.0,))
+    # decompose marches without march, and rejects the same meshes
+    for problem, mesh, match in ((vp, other, None), (scalar, wrong_T, None),
+                                 (tiny, tinier, "horizon")):
+        with pytest.raises(ValueError, match=match):
+            decompose(problem, mesh)
 
 
 def test_march_rejects_bad_initial_value():
